@@ -1,10 +1,12 @@
 #include "api/gencoll.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "check/check.hpp"
 #include "service/bandit.hpp"
 #include "util/env.hpp"
 #include "util/logging.hpp"
@@ -106,9 +108,9 @@ void Collectives::refresh_epoch() {
   if (online_ != nullptr) online_->rescale_world(comm_.size());
 }
 
-const core::Schedule& Collectives::schedule_for(CollOp op, std::size_t count,
-                                                std::size_t elem_size, int root,
-                                                const AlgSpec& spec) {
+const Collectives::CachedSchedule& Collectives::schedule_for(
+    CollOp op, std::size_t count, std::size_t elem_size, int root,
+    const AlgSpec& spec) {
   refresh_epoch();
   tuning::AlgorithmChoice choice;
   // Per-call overrides beat online mode: the tuning experiments must be able
@@ -139,6 +141,10 @@ const core::Schedule& Collectives::schedule_for(CollOp op, std::size_t count,
   params.count = count;
   params.elem_size = elem_size;
   params.k = choice.k;
+  const auto key_of = [&](Algorithm algorithm) {
+    return ScheduleKey{op,       params.p,  root, count, elem_size,
+                       params.k, algorithm, 0,    false, {}};
+  };
 
   if (choice.group_size > 1) {
     core::HierSpec hspec;
@@ -146,11 +152,15 @@ const core::Schedule& Collectives::schedule_for(CollOp op, std::size_t count,
     hspec.inter_alg = choice.algorithm;
     hspec.inter_k = choice.k;
     hspec.intra_shm = choice.intra == tuning::HierIntra::kShm;
-    hspec.levels = choice.levels;
+    hspec.levels = std::move(choice.levels);
     // Shapes the composition cannot express (p % g != 0, ragged allgather
     // blocks, uncovered ops) fall through to the flat path below.
     if (core::supports_hierarchical(hspec, params)) {
-      return cached_build_hier(hspec, params);
+      ScheduleKey key = key_of(hspec.inter_alg);
+      key.group_size = hspec.group_size;
+      key.intra_shm = hspec.intra_shm;
+      key.levels = std::move(hspec.levels);
+      return cached_build(std::move(key), params);
     }
   }
 
@@ -160,51 +170,77 @@ const core::Schedule& Collectives::schedule_for(CollOp op, std::size_t count,
     const tuning::AlgorithmChoice fallback =
         tuning::vendor_default(op, params.p, params.nbytes());
     params.k = fallback.k;
-    return cached_build(params, fallback.algorithm);
+    return cached_build(key_of(fallback.algorithm), params);
   }
-  return cached_build(params, choice.algorithm);
+  return cached_build(key_of(choice.algorithm), params);
 }
 
-const core::Schedule& Collectives::cached_build(const core::CollParams& params,
-                                                Algorithm algorithm) {
-  std::string key = core::algorithm_name(algorithm);
-  key += '|';
-  key += params.describe();
+const Collectives::CachedSchedule& Collectives::cached_build(
+    ScheduleKey key, const core::CollParams& params) {
   auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    auto sched = std::make_unique<core::Schedule>(core::build_schedule(algorithm, params));
-    it = cache_.emplace(std::move(key), std::move(sched)).first;
+  if (it != cache_.end()) return it->second;
+  CachedSchedule entry;
+  if (key.group_size > 1) {
+    core::HierSpec hspec;
+    hspec.group_size = key.group_size;
+    hspec.inter_alg = key.algorithm;
+    hspec.inter_k = key.k;
+    hspec.intra_shm = key.intra_shm;
+    hspec.levels = key.levels;
+    entry.sched = core::build_hierarchical_schedule(hspec, params);
+  } else {
+    entry.sched = core::build_schedule(key.algorithm, params);
+    entry.zero_copy = zero_copy_verdict(entry.sched, key.algorithm);
   }
-  return *it->second;
+  return cache_.emplace(std::move(key), std::move(entry)).first->second;
 }
 
-const core::Schedule& Collectives::cached_build_hier(const core::HierSpec& hspec,
-                                                     const core::CollParams& params) {
-  std::string key = "hier";
-  key += hspec.levels.empty() ? std::to_string(hspec.group_size)
-                              : core::hier_format_levels(hspec.levels);
-  key += hspec.intra_shm ? "s" : "m";
-  key += '|';
-  key += core::algorithm_name(hspec.inter_alg);
-  key += '|';
-  key += params.describe();
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    auto sched = std::make_unique<core::Schedule>(
-        core::build_hierarchical_schedule(hspec, params));
-    it = cache_.emplace(std::move(key), std::move(sched)).first;
+bool Collectives::zero_copy_verdict(const core::Schedule& sched,
+                                    Algorithm algorithm) {
+  if (!comm_.plain_transport()) return false;
+  // Size gate: small schedules gain little from skipping a copy and never
+  // pay for a proof.
+  const std::size_t threshold = core::ExecTuning{}.pipeline_threshold;
+  const auto large_send = [threshold](const core::Step& s) {
+    return (s.kind == core::StepKind::kSend || s.kind == core::StepKind::kSendInput) &&
+           s.bytes >= threshold;
+  };
+  if (std::none_of(sched.ranks.begin(), sched.ranks.end(),
+                   [&](const core::RankProgram& prog) {
+                     return std::any_of(prog.steps.begin(), prog.steps.end(),
+                                        large_send);
+                   })) {
+    return false;
   }
-  return *it->second;
+  check::CheckOptions options;
+  options.zero_copy = true;
+  options.conformance = false;
+  if (check::check_schedule(sched, algorithm, options).ok()) return true;
+  ++zero_copy_rejections_;
+  return false;
 }
 
-void Collectives::execute(const core::Schedule& sched, std::span<const std::byte> input,
+void Collectives::execute(const CachedSchedule& entry,
+                          std::span<const std::byte> input,
                           std::span<std::byte> output, DataType type, ReduceOp op) {
+  const core::Schedule& sched = entry.sched;
   const bool feed_online = online_ != nullptr && pending_.has_value();
   const double begin_us = feed_online ? wallclock_us() : 0.0;
   if (sched.hier) {
     core::execute_hierarchical(sched, comm_, input, output, type, op, sink_);
   } else {
-    core::execute_rank_program(sched, comm_, input, output, type, op, sink_);
+    core::ExecTuning tuning;
+    tuning.zero_copy = entry.zero_copy;
+    try {
+      core::execute_rank_program(sched, comm_, input, output, type, op, sink_,
+                                 tuning);
+      // Under zero-copy peers read this rank's buffers in place: the caller
+      // gets them back only once every posted view has been released.
+      comm_.fence_views();
+    } catch (...) {
+      comm_.retract_views();
+      throw;
+    }
   }
   if (feed_online) {
     const service::ArmKey akey{
@@ -218,15 +254,15 @@ void Collectives::execute(const core::Schedule& sched, std::span<const std::byte
 }
 
 void Collectives::bcast(std::span<std::byte> buf, int root, const AlgSpec& spec) {
-  const core::Schedule& sched =
+  const CachedSchedule& entry =
       schedule_for(CollOp::kBcast, buf.size(), 1, root, spec);
   if (comm_.rank() == root) {
     // The schedule copies input -> output; stage the root payload so the
     // user can pass one in-place buffer.
     std::vector<std::byte> staged(buf.begin(), buf.end());
-    execute(sched, staged, buf, DataType::kByte, ReduceOp::kSum);
+    execute(entry, staged, buf, DataType::kByte, ReduceOp::kSum);
   } else {
-    execute(sched, {}, buf, DataType::kByte, ReduceOp::kSum);
+    execute(entry, {}, buf, DataType::kByte, ReduceOp::kSum);
   }
 }
 
@@ -236,7 +272,7 @@ void Collectives::reduce(std::span<const std::byte> in, std::span<std::byte> out
   if (in.size() % es != 0) {
     throw std::invalid_argument("reduce: buffer not a multiple of datatype size");
   }
-  const core::Schedule& sched =
+  const CachedSchedule& entry =
       schedule_for(CollOp::kReduce, in.size() / es, es, root, spec);
   std::vector<std::byte> scratch;
   std::span<std::byte> work = out;
@@ -245,7 +281,7 @@ void Collectives::reduce(std::span<const std::byte> in, std::span<std::byte> out
     scratch.resize(in.size());
     work = scratch;
   }
-  execute(sched, in, work, type, op);
+  execute(entry, in, work, type, op);
 }
 
 void Collectives::allreduce(std::span<const std::byte> in, std::span<std::byte> out,
@@ -254,9 +290,9 @@ void Collectives::allreduce(std::span<const std::byte> in, std::span<std::byte> 
   if (in.size() % es != 0 || out.size() != in.size()) {
     throw std::invalid_argument("allreduce: in/out sizes must match datatype layout");
   }
-  const core::Schedule& sched =
+  const CachedSchedule& entry =
       schedule_for(CollOp::kAllreduce, in.size() / es, es, 0, spec);
-  execute(sched, in, out, type, op);
+  execute(entry, in, out, type, op);
 }
 
 void Collectives::allreduce(std::span<std::byte> buf, DataType type, ReduceOp op,
@@ -276,9 +312,9 @@ void Collectives::gather(std::span<const std::byte> in, std::span<std::byte> out
         "gather: out must be sized to the total payload (a multiple of the "
         "datatype size) on every rank");
   }
-  const core::Schedule& sched =
+  const CachedSchedule& entry =
       schedule_for(CollOp::kGather, out.size() / es, es, root, spec);
-  execute(sched, in, out, type, ReduceOp::kSum);
+  execute(entry, in, out, type, ReduceOp::kSum);
 }
 
 void Collectives::allgather(std::span<const std::byte> in, std::span<std::byte> out,
@@ -289,9 +325,9 @@ void Collectives::allgather(std::span<const std::byte> in, std::span<std::byte> 
         "allgather: out must be sized to the total payload (a multiple of "
         "the datatype size) on every rank");
   }
-  const core::Schedule& sched =
+  const CachedSchedule& entry =
       schedule_for(CollOp::kAllgather, out.size() / es, es, 0, spec);
-  execute(sched, in, out, type, ReduceOp::kSum);
+  execute(entry, in, out, type, ReduceOp::kSum);
 }
 
 void Collectives::scatter(std::span<const std::byte> in, std::span<std::byte> out,
@@ -302,9 +338,9 @@ void Collectives::scatter(std::span<const std::byte> in, std::span<std::byte> ou
         "scatter: out must be sized to the total payload (a multiple of the "
         "datatype size) on every rank");
   }
-  const core::Schedule& sched =
+  const CachedSchedule& entry =
       schedule_for(CollOp::kScatter, out.size() / es, es, root, spec);
-  execute(sched, in, out, type, ReduceOp::kSum);
+  execute(entry, in, out, type, ReduceOp::kSum);
 }
 
 void Collectives::reduce_scatter(std::span<const std::byte> in,
@@ -315,9 +351,9 @@ void Collectives::reduce_scatter(std::span<const std::byte> in,
     throw std::invalid_argument(
         "reduce_scatter: in/out must match and be datatype-aligned");
   }
-  const core::Schedule& sched =
+  const CachedSchedule& entry =
       schedule_for(CollOp::kReduceScatter, in.size() / es, es, 0, spec);
-  execute(sched, in, out, type, op);
+  execute(entry, in, out, type, op);
 }
 
 void Collectives::alltoall(std::span<const std::byte> in, std::span<std::byte> out,
@@ -329,9 +365,9 @@ void Collectives::alltoall(std::span<const std::byte> in, std::span<std::byte> o
         "alltoall: in/out must match and hold p datatype-aligned chunks");
   }
   // CollParams.count is the per-destination element count.
-  const core::Schedule& sched =
+  const CachedSchedule& entry =
       schedule_for(CollOp::kAlltoall, in.size() / es / p, es, 0, spec);
-  execute(sched, in, out, type, ReduceOp::kSum);
+  execute(entry, in, out, type, ReduceOp::kSum);
 }
 
 void Collectives::scan(std::span<const std::byte> in, std::span<std::byte> out,
@@ -340,15 +376,15 @@ void Collectives::scan(std::span<const std::byte> in, std::span<std::byte> out,
   if (in.size() % es != 0 || out.size() != in.size()) {
     throw std::invalid_argument("scan: in/out must match and be datatype-aligned");
   }
-  const core::Schedule& sched =
+  const CachedSchedule& entry =
       schedule_for(CollOp::kScan, in.size() / es, es, 0, spec);
-  execute(sched, in, out, type, op);
+  execute(entry, in, out, type, op);
 }
 
 void Collectives::barrier_collective(const AlgSpec& spec) {
-  const core::Schedule& sched = schedule_for(CollOp::kBarrier, 0, 1, 0, spec);
+  const CachedSchedule& entry = schedule_for(CollOp::kBarrier, 0, 1, 0, spec);
   std::byte token{};
-  execute(sched, {}, std::span<std::byte>(&token, 1), DataType::kByte,
+  execute(entry, {}, std::span<std::byte>(&token, 1), DataType::kByte,
           ReduceOp::kSum);
 }
 

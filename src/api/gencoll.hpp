@@ -84,6 +84,11 @@ class Collectives {
   /// multiple of the group size where required, non-uniform allgather
   /// blocks, ops the composition does not cover) silently run the flat
   /// schedule.
+  ///
+  /// Large flat collectives run zero-copy when the symbolic prover clears
+  /// their schedule (DESIGN.md section 7): peers read this rank's buffers in
+  /// place, and a call returns only once they are done, so the caller may
+  /// reuse its buffers as soon as any call returns.
   explicit Collectives(runtime::Communicator& comm,
                        tuning::SelectionConfig config = {});
 
@@ -154,6 +159,17 @@ class Collectives {
   /// (op, alg, k, root, size) tuple).
   [[nodiscard]] std::size_t schedules_built() const { return cache_.size(); }
 
+  /// Cached flat schedules that the zero-copy size gate admitted (a send
+  /// step of at least ExecTuning::pipeline_threshold bytes) and the prover
+  /// then rejected, so they keep copying every send.
+  [[nodiscard]] std::size_t zero_copy_rejections() const {
+    return zero_copy_rejections_;
+  }
+
+  /// The wrapped communicator, for its always-on counters (zero-copy views
+  /// posted and retracted, fence waits, reliability stats).
+  [[nodiscard]] const runtime::Communicator& communicator() const { return comm_; }
+
   /// Opt-in observability: every subsequent collective's schedule steps emit
   /// obs::SpanEvents (wall-clock) and message instants into `sink`. Pass the
   /// same sink (e.g. one obs::TraceRecorder sized to the world) on every
@@ -179,20 +195,44 @@ class Collectives {
   }
 
  private:
+  /// Everything a schedule build depends on, compared field by field, so a
+  /// cache hit allocates nothing.
+  struct ScheduleKey {
+    CollOp op;
+    int p;
+    int root;
+    std::size_t count;
+    std::size_t elem_size;
+    int k;
+    Algorithm algorithm;  ///< the flat kernel, or the inter-group one
+    int group_size = 0;   ///< > 1: hierarchical composition
+    bool intra_shm = false;
+    std::vector<int> levels;  ///< hierarchical intra level vector
+    auto operator<=>(const ScheduleKey&) const = default;
+  };
+  struct CachedSchedule {
+    core::Schedule sched;
+    /// Prover-gated, decided once at build: post sends as views and fence.
+    bool zero_copy = false;
+  };
+
   /// Elastic shrink support: when the communicator's membership epoch moved
   /// since the last collective (runtime/membership.hpp), every cached
   /// schedule was compiled for the dead rank space — drop the cache, any
   /// pending online reward, and re-enumerate the online selector's arms for
   /// the survivor count. Called at the top of schedule_for.
   void refresh_epoch();
-  const core::Schedule& schedule_for(CollOp op, std::size_t count,
+  const CachedSchedule& schedule_for(CollOp op, std::size_t count,
                                      std::size_t elem_size, int root,
                                      const AlgSpec& spec);
-  const core::Schedule& cached_build(const core::CollParams& params,
-                                     Algorithm algorithm);
-  const core::Schedule& cached_build_hier(const core::HierSpec& hspec,
-                                          const core::CollParams& params);
-  void execute(const core::Schedule& sched, std::span<const std::byte> input,
+  /// Cache lookup; on a miss, build (hierarchical when key.group_size > 1)
+  /// and decide zero-copy.
+  const CachedSchedule& cached_build(ScheduleKey key, const core::CollParams& params);
+  /// The zero-copy verdict for a flat schedule: plain transport, a send step
+  /// of at least ExecTuning::pipeline_threshold bytes, and a clean proof
+  /// under CheckOptions::zero_copy.
+  bool zero_copy_verdict(const core::Schedule& sched, Algorithm algorithm);
+  void execute(const CachedSchedule& entry, std::span<const std::byte> input,
                std::span<std::byte> output, DataType type, ReduceOp op);
 
   runtime::Communicator& comm_;
@@ -201,7 +241,8 @@ class Collectives {
   int env_group_size_ = 0;  ///< GENCOLL_GROUP_SIZE; 0 = unset
   std::vector<int> env_levels_;  ///< GENCOLL_HIER_LEVELS; empty = unset
   int cache_epoch_ = 0;     ///< membership epoch the cache was built under
-  std::map<std::string, std::unique_ptr<core::Schedule>> cache_;
+  std::map<ScheduleKey, CachedSchedule> cache_;
+  std::size_t zero_copy_rejections_ = 0;
   // Online selection state: the decision taken in schedule_for, awaiting its
   // wall-clock reward from the execute() that immediately follows (one rank
   // == one thread, so a single pending slot suffices).

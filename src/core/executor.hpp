@@ -25,9 +25,12 @@ struct ExecTuning {
   /// Post sends as zero-copy views into the local buffers instead of copying
   /// into pooled transport storage. Only sound for schedules the symbolic
   /// prover passes with CheckOptions::zero_copy (zero_copy_races == 0) AND
-  /// when every rank's buffers outlive the whole collective (true under
-  /// execute_threaded, which joins before returning). Ignored — falls back
-  /// to copying — when reliability or fault injection is active.
+  /// when no rank touches its buffers before peers released its views.
+  /// execute_threaded gets that by joining before returning, with buffers
+  /// that outlive the World; a caller on a long-lived communicator must end
+  /// with Communicator::fence_views() (retract_views() when it throws), as
+  /// gencoll::Collectives does. Ignored — falls back to copying — when
+  /// reliability or fault injection is active.
   bool zero_copy = false;
   /// Steps moving at least this many bytes are pipelined into segments so
   /// the receiver's copy/reduce of segment i overlaps delivery of segment

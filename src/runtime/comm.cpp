@@ -10,6 +10,7 @@
 #include "fault/envelope.hpp"
 #include "fault/mutation.hpp"
 #include "runtime/event_pool.hpp"
+#include "runtime/shm_group.hpp"
 #include "runtime/world.hpp"
 
 namespace gencoll::runtime {
@@ -42,6 +43,7 @@ Communicator::Communicator(World* world, int rank)
   plan_ = world->options().fault_plan;
   recv_verify_crc_ = plan_ != nullptr && plan_->corrupt_prob > 0.0;
   rel_ = world->options().reliability;
+  ledger_ = &world->view_ledger(rank);
 }
 
 int Communicator::size() const {
@@ -176,7 +178,29 @@ void Communicator::send_view(int dest, int tag, std::span<const std::byte> data)
   m.epoch = epoch_;
   m.zero_copy = true;
   m.view = data;
+  m.lease = ViewLease(ledger_);
+  ++ledger_->posted;
   world_->mailbox(orig_of(dest)).post(std::move(m));
+}
+
+void Communicator::fence_views() {
+  const std::uint64_t posted = ledger_->posted;
+  if (ledger_->released.load(std::memory_order_acquire) >= posted) return;
+  ++fence_waits_;
+  shm_wait_ge(world_, epoch_, ledger_->released, posted, rank_,
+              "zero-copy view releases");
+}
+
+void Communicator::retract_views() {
+  const std::uint64_t posted = ledger_->posted;
+  if (ledger_->released.load(std::memory_order_acquire) >= posted) return;
+  for (int r = 0; r < world_->size(); ++r) {
+    views_retracted_ += world_->mailbox(r).retract_views(ledger_);
+  }
+  // What is left was matched and is being copied or reduced right now; those
+  // reads finish without any other rank's help, so no poison or deadline.
+  shm_wait_ge(nullptr, epoch_, ledger_->released, posted, rank_,
+              "in-progress zero-copy reads");
 }
 
 void Communicator::reliable_send(int dest, int tag, std::span<const std::byte> data) {

@@ -115,11 +115,34 @@ class Communicator {
 
   /// Zero-copy send: posts a non-owning view of `data` instead of copying.
   /// The caller guarantees the bytes stay untouched until the receiver
-  /// consumes the matched message — the contract src/check/hazards.cpp
-  /// proves per schedule (zero_copy_races == 0). Falls back to the copying
-  /// send when the transport is not plain (reliability or fault injection
-  /// active), so it is always semantically safe to call.
+  /// consumes the matched message. Within one schedule that is the contract
+  /// src/check/hazards.cpp proves (zero_copy_races == 0); across calls,
+  /// fence_views() / retract_views() provide it. The view carries a lease
+  /// that counts as released when the receiver drops the match. Falls back
+  /// to the copying send when the transport is not plain (reliability or
+  /// fault injection active), so it is always semantically safe to call.
   void send_view(int dest, int tag, std::span<const std::byte> data);
+
+  /// View-completion fence: block until every view this rank has posted was
+  /// released by its receiver, so the viewed buffers may change again.
+  /// Returns at once when none is outstanding. Abort, revocation of this
+  /// epoch and the receive deadline throw FaultError (kAborted / kRevoked /
+  /// kTimeout) — follow such a throw with retract_views().
+  void fence_views();
+
+  /// Exceptional-exit fence: remove this rank's unmatched views from every
+  /// mailbox, then wait for the reads already in progress. It never waits
+  /// for a peer's progress, so it cannot hang on a dead or stalled peer, and
+  /// on return no peer can still read this rank's buffers.
+  void retract_views();
+
+  /// Always-on zero-copy counters (no trace sink needed): views posted by
+  /// this rank (World-wide ledger, runtime/mailbox.hpp ViewLedger), views
+  /// this communicator retracted unmatched, and fences that found views
+  /// outstanding and had to wait.
+  [[nodiscard]] std::uint64_t views_posted() const { return ledger_->posted; }
+  [[nodiscard]] std::uint64_t views_retracted() const { return views_retracted_; }
+  [[nodiscard]] std::uint64_t fence_waits() const { return fence_waits_; }
 
   /// Hot-path receive: matches the (source, tag) message and returns it
   /// whole, payload uncopied — the caller reads Message::bytes() directly
@@ -227,6 +250,9 @@ class Communicator {
   std::vector<int> dense_to_orig_;
   std::chrono::milliseconds timeout_{std::chrono::seconds(60)};
   obs::TraceSink* sink_ = nullptr;
+  ViewLedger* ledger_;  ///< this rank's World-owned zero-copy ledger
+  std::uint64_t views_retracted_ = 0;
+  std::uint64_t fence_waits_ = 0;
 
   // Fault/reliability state (all owned by this rank's thread).
   const fault::FaultPlan* plan_ = nullptr;  // nullptr = no injection

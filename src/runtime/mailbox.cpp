@@ -125,6 +125,17 @@ std::size_t Mailbox::purge_stale(int epoch) {
   return before - queue_.size();
 }
 
+std::size_t Mailbox::retract_views(const ViewLedger* ledger) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::size_t before = queue_.size();
+  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
+                              [ledger](const Message& m) {
+                                return m.lease.ledger() == ledger;
+                              }),
+               queue_.end());
+  return before - queue_.size();
+}
+
 std::size_t Mailbox::pending() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();

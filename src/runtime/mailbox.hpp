@@ -20,14 +20,17 @@
 //     std::runtime_error this class threw historically.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fault/abort.hpp"
@@ -49,6 +52,48 @@ class MailboxWaiter {
   ~MailboxWaiter() = default;
 };
 
+/// Zero-copy bookkeeping of one rank (the World keeps one per rank, so a
+/// lease can never outlive the counter it credits). Both counts only ever
+/// grow, like the shm generation counters: the rank's views are all
+/// consumed exactly when released >= posted.
+struct alignas(64) ViewLedger {
+  std::uint64_t posted = 0;  ///< views the rank posted (owner thread only)
+  std::atomic<std::uint64_t> released{0};  ///< views whose match was dropped
+};
+
+/// Move-only handle a zero-copy message carries: when the message dies —
+/// after the receiver's memcpy/reduce, or when it is retracted or purged
+/// unmatched — the lease credits one release to the sender's ledger
+/// (release order, pairing with the sender's acquire in its fence).
+class ViewLease {
+ public:
+  ViewLease() = default;
+  explicit ViewLease(ViewLedger* ledger) : ledger_(ledger) {}
+  ViewLease(ViewLease&& other) noexcept
+      : ledger_(std::exchange(other.ledger_, nullptr)) {}
+  ViewLease& operator=(ViewLease&& other) noexcept {
+    if (this != &other) {
+      reset();
+      ledger_ = std::exchange(other.ledger_, nullptr);
+    }
+    return *this;
+  }
+  ViewLease(const ViewLease&) = delete;
+  ViewLease& operator=(const ViewLease&) = delete;
+  ~ViewLease() { reset(); }
+
+  [[nodiscard]] const ViewLedger* ledger() const { return ledger_; }
+
+ private:
+  void reset() noexcept {
+    if (ledger_ != nullptr) {
+      ledger_->released.fetch_add(1, std::memory_order_release);
+      ledger_ = nullptr;
+    }
+  }
+  ViewLedger* ledger_ = nullptr;
+};
+
 struct Message {
   int source = -1;
   int tag = 0;
@@ -66,6 +111,8 @@ struct Message {
   /// src/check/hazards.cpp classifies which schedules qualify).
   std::span<const std::byte> view{};
   bool zero_copy = false;
+  /// Set on zero-copy messages: tells the sender's fence when the view dies.
+  ViewLease lease;
   /// Earliest instant match() may hand the message out; the epoch default
   /// means "immediately". Set by fault-injected delivery delays.
   std::chrono::steady_clock::time_point deliver_at{};
@@ -126,6 +173,11 @@ class Mailbox {
   /// of a channel can linger until the next receive on it).
   std::size_t drain_matching(int source, int tag,
                              const std::function<bool(std::span<const std::byte>)>& pred);
+
+  /// Remove every queued message leased to `ledger` — a sender's unmatched
+  /// zero-copy views — regardless of (source, tag, epoch, deliver_at);
+  /// returns the number removed. Their leases credit the releases.
+  std::size_t retract_views(const ViewLedger* ledger);
 
   /// Number of queued (undelivered) messages; used by leak checks in tests.
   std::size_t pending() const;

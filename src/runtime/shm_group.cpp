@@ -17,15 +17,15 @@ namespace {
 
 constexpr std::size_t kLine = 64;
 
-/// Shared spin -> yield -> sleep wait used by ShmGroup and ShmTree: wait
-/// until cell (acquire) >= target, polling the abort poison, the epoch
-/// revocation flag and the receive deadline. Thresholds come from `wait`.
-std::uint64_t shm_wait_ge(const World& world, int epoch,
+}  // namespace
+
+std::uint64_t shm_wait_ge(const World* world, int epoch,
                           const std::atomic<std::uint64_t>& cell,
                           std::uint64_t target, int self_rank,
                           const char* what, const ShmWaitTuning& wait) {
   using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + world.recv_timeout();
+  const auto deadline =
+      world != nullptr ? Clock::now() + world->recv_timeout() : Clock::time_point::max();
   // Peer-dependent spin/sleep wait: on the event engine the shm fast path
   // runs whole under managed blocking, so compensate while polling here.
   BlockingGuard guard;
@@ -35,16 +35,16 @@ std::uint64_t shm_wait_ge(const World& world, int epoch,
     if (v >= target) {
       return v;
     }
-    if (world.aborted()) {
+    if (world != nullptr && world->aborted()) {
       throw FaultError(FaultKind::kAborted, self_rank, -1, -1,
-                       std::string("shm_group: woken by abort while waiting for ") +
-                           what + ": " + world.abort_reason());
+                       std::string("woken by abort while waiting for ") +
+                           what + ": " + world->abort_reason());
     }
-    if (world.membership().revoke_flag().revoked(epoch)) {
+    if (world != nullptr && world->membership().revoke_flag().revoked(epoch)) {
       throw FaultError(
           FaultKind::kRevoked, self_rank, -1, -1,
-          std::string("shm_group: woken by epoch revocation while waiting for ") +
-              what + ": " + world.membership().revoke_flag().reason());
+          std::string("woken by epoch revocation while waiting for ") +
+              what + ": " + world->membership().revoke_flag().reason());
     }
     ++spins;
     if (spins < wait.spin_iters) {
@@ -56,13 +56,11 @@ std::uint64_t shm_wait_ge(const World& world, int epoch,
     }
     if (Clock::now() >= deadline) {
       throw FaultError(FaultKind::kTimeout, self_rank, -1, -1,
-                       std::string("shm_group: deadline expired waiting for ") + what);
+                       std::string("deadline expired waiting for ") + what);
     }
     std::this_thread::sleep_for(wait.sleep_slice);
   }
 }
-
-}  // namespace
 
 ShmGroup::ShmGroup(World& world, int base_rank, int size, int epoch)
     : world_(world), base_rank_(base_rank), size_(size), epoch_(epoch) {
@@ -102,7 +100,7 @@ std::uint64_t ShmGroup::wait_ge(const std::atomic<std::uint64_t>& cell,
                                 std::uint64_t target, int self_rank,
                                 const char* what,
                                 const ShmWaitTuning& wait) const {
-  return shm_wait_ge(world_, epoch_, cell, target, self_rank, what, wait);
+  return shm_wait_ge(&world_, epoch_, cell, target, self_rank, what, wait);
 }
 
 void ShmGroup::publish(int member, std::span<const std::byte> data) {
@@ -211,7 +209,7 @@ std::uint64_t ShmTree::wait_ge(const std::atomic<std::uint64_t>& cell,
                                std::uint64_t target, int self_rank,
                                const char* what,
                                const ShmWaitTuning& wait) const {
-  return shm_wait_ge(world_, epoch_, cell, target, self_rank, what, wait);
+  return shm_wait_ge(&world_, epoch_, cell, target, self_rank, what, wait);
 }
 
 std::uint64_t ShmTree::publish_buffers(int rel, std::span<const std::byte> src,

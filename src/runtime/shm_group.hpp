@@ -60,6 +60,19 @@ struct ShmWaitTuning {
   std::chrono::microseconds sleep_slice{50};  ///< park slice between probes
 };
 
+/// The runtime's one counter wait, shared by ShmGroup, ShmTree and the
+/// zero-copy view fence (Communicator::fence_views): spin -> yield -> sleep
+/// until `cell` (acquire) >= target, and return the value observed. With a
+/// `world`, every probe also polls its abort poison and `epoch`'s
+/// revocation, and the wait ends at the World's receive deadline, each as
+/// FaultError (kAborted / kRevoked / kTimeout) naming `what`. A null `world`
+/// waits unconditionally: only for progress that cannot stall, such as
+/// reads already in progress.
+std::uint64_t shm_wait_ge(const World* world, int epoch,
+                          const std::atomic<std::uint64_t>& cell,
+                          std::uint64_t target, int self_rank, const char* what,
+                          const ShmWaitTuning& wait = {});
+
 // Pure generation-counter rules of the seqlock protocol. ShmGroup's
 // publish/await paths execute these; the seqlock protocol model in
 // src/verify/ executes the same functions over its explored states, so the

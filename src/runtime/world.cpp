@@ -70,6 +70,7 @@ World::World(int size, WorldOptions options)
   if (size <= 0) throw std::invalid_argument("World: size must be positive");
   if (options_.fault_plan != nullptr) options_.fault_plan->check();
   if (options_.pool != nullptr) pool_ = options_.pool;
+  view_ledgers_ = std::make_unique<ViewLedger[]>(static_cast<std::size_t>(size));
   mailboxes_.reserve(static_cast<std::size_t>(size));
   for (int i = 0; i < size; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
@@ -82,6 +83,13 @@ World::~World() = default;
 
 Mailbox& World::mailbox(int rank) {
   return *mailboxes_.at(static_cast<std::size_t>(rank));
+}
+
+ViewLedger& World::view_ledger(int rank) {
+  if (rank < 0 || rank >= size_) {
+    throw std::out_of_range("World::view_ledger: rank out of range");
+  }
+  return view_ledgers_[static_cast<std::size_t>(rank)];
 }
 
 ShmGroup& World::shm_group(int group_size, int group_id) {

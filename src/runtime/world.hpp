@@ -140,6 +140,11 @@ class World {
   /// otherwise this World's private pool).
   [[nodiscard]] BufferPool& pool() { return *pool_; }
 
+  /// Zero-copy view ledger of original rank `rank` (runtime/mailbox.hpp).
+  /// World-owned so a lease in any mailbox stays valid after the sending
+  /// rank's Communicator is gone (execute_threaded returns without a fence).
+  [[nodiscard]] ViewLedger& view_ledger(int rank);
+
   /// The shared-segment primitive for the group of `group_size` consecutive
   /// ranks starting at group_id * group_size (runtime/shm_group.hpp).
   /// Created lazily on first request and kept for the World's lifetime, so
@@ -170,6 +175,8 @@ class World {
   fault::CrashPolicy crash_policy_;
   BufferPool owned_pool_;
   BufferPool* pool_ = &owned_pool_;  ///< points at options_.pool when set
+  // Declared before the mailboxes: queued leases credit these on teardown.
+  std::unique_ptr<ViewLedger[]> view_ledgers_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   fault::AbortFlag abort_;
 
