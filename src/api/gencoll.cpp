@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -253,14 +254,34 @@ void Collectives::execute(const CachedSchedule& entry,
   }
 }
 
+std::span<std::byte> Collectives::staging(std::size_t bytes,
+                                          std::vector<std::byte>& large) {
+  if (bytes > kMaxStagingBytes) {
+    large.resize(bytes);
+    return large;
+  }
+  // Reuse across calls is sound because execute() returns only after
+  // fence_views() (or retract_views() on a throw): no peer still reads a
+  // view of the previous call's staging bytes.
+  if (staging_.size() < bytes) staging_.resize(bytes);
+  return std::span<std::byte>(staging_).first(bytes);
+}
+
+std::span<const std::byte> Collectives::stage(std::span<const std::byte> data,
+                                              std::vector<std::byte>& large) {
+  const std::span<std::byte> staged = staging(data.size(), large);
+  if (!data.empty()) std::memcpy(staged.data(), data.data(), data.size());
+  return staged;
+}
+
 void Collectives::bcast(std::span<std::byte> buf, int root, const AlgSpec& spec) {
   const CachedSchedule& entry =
       schedule_for(CollOp::kBcast, buf.size(), 1, root, spec);
   if (comm_.rank() == root) {
     // The schedule copies input -> output; stage the root payload so the
     // user can pass one in-place buffer.
-    std::vector<std::byte> staged(buf.begin(), buf.end());
-    execute(entry, staged, buf, DataType::kByte, ReduceOp::kSum);
+    std::vector<std::byte> large;
+    execute(entry, stage(buf, large), buf, DataType::kByte, ReduceOp::kSum);
   } else {
     execute(entry, {}, buf, DataType::kByte, ReduceOp::kSum);
   }
@@ -274,12 +295,11 @@ void Collectives::reduce(std::span<const std::byte> in, std::span<std::byte> out
   }
   const CachedSchedule& entry =
       schedule_for(CollOp::kReduce, in.size() / es, es, root, spec);
-  std::vector<std::byte> scratch;
+  std::vector<std::byte> large;
   std::span<std::byte> work = out;
   if (comm_.rank() != root || out.size() < in.size()) {
     // Non-root ranks need workspace even though they produce no result.
-    scratch.resize(in.size());
-    work = scratch;
+    work = staging(in.size(), large);
   }
   execute(entry, in, work, type, op);
 }
@@ -297,8 +317,8 @@ void Collectives::allreduce(std::span<const std::byte> in, std::span<std::byte> 
 
 void Collectives::allreduce(std::span<std::byte> buf, DataType type, ReduceOp op,
                             const AlgSpec& spec) {
-  std::vector<std::byte> staged(buf.begin(), buf.end());
-  allreduce(staged, buf, type, op, spec);
+  std::vector<std::byte> large;
+  allreduce(stage(buf, large), buf, type, op, spec);
 }
 
 void Collectives::gather(std::span<const std::byte> in, std::span<std::byte> out,

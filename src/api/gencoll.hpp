@@ -234,6 +234,20 @@ class Collectives {
   bool zero_copy_verdict(const core::Schedule& sched, Algorithm algorithm);
   void execute(const CachedSchedule& entry, std::span<const std::byte> input,
                std::span<std::byte> output, DataType type, ReduceOp op);
+  /// Largest call staged in the persistent buffer. The allocation it saves
+  /// is a visible share of a call's cost only for small payloads, while a
+  /// larger buffer stays resident in every Collectives: unbounded, it
+  /// pinned 32 MB in hier_intra (4 MiB calls, two Collectives on four
+  /// ranks), and a 64 KiB bound still raised varied_shapes' peak RSS.
+  static constexpr std::size_t kMaxStagingBytes = std::size_t{4} << 10;
+  /// `bytes` of staging (in-place allreduce input, bcast root input, reduce
+  /// workspace on non-roots): the front of the grow-only staging buffer, or
+  /// above kMaxStagingBytes `large`, resized, which the caller keeps alive
+  /// for the call.
+  std::span<std::byte> staging(std::size_t bytes, std::vector<std::byte>& large);
+  /// Copy `data` into staging(data.size(), large) and return the copy.
+  std::span<const std::byte> stage(std::span<const std::byte> data,
+                                   std::vector<std::byte>& large);
 
   runtime::Communicator& comm_;
   tuning::SelectionConfig config_;
@@ -243,6 +257,7 @@ class Collectives {
   int cache_epoch_ = 0;     ///< membership epoch the cache was built under
   std::map<ScheduleKey, CachedSchedule> cache_;
   std::size_t zero_copy_rejections_ = 0;
+  std::vector<std::byte> staging_;  ///< grow-only; see staging()
   // Online selection state: the decision taken in schedule_for, awaiting its
   // wall-clock reward from the execute() that immediately follows (one rank
   // == one thread, so a single pending slot suffices).

@@ -134,13 +134,21 @@ void Communicator::send(int dest, int tag, std::span<const std::byte> data) {
     d = fault::decide(*plan_, rank_, dest, tag, seq, 0, fault::MsgStream::kData);
   }
   if (d.drop) return;
+  // Small payloads travel inside the message: no pool lock, no allocation.
+  const auto fill = [this](Message& msg, std::span<const std::byte> bytes) {
+    if (bytes.size() <= Message::kInlineBytes) {
+      msg.set_inline(bytes);
+      return;
+    }
+    msg.payload = world_->pool().acquire(bytes.size());
+    std::memcpy(msg.payload.data(), bytes.data(), bytes.size());
+  };
   Message m;
   m.source = dense_rank_;
   m.tag = tag;
   m.epoch = epoch_;
-  m.payload = world_->pool().acquire(data.size());
-  if (!data.empty()) std::memcpy(m.payload.data(), data.data(), data.size());
-  if (d.corrupt) flip_bit(m.payload.span(), d.corrupt_bit);
+  fill(m, data);
+  if (d.corrupt) flip_bit(m.owned_bytes(), d.corrupt_bit);
   if (d.delay_ms > 0.0) {
     m.deliver_at = steady_clock::now() +
                    std::chrono::duration_cast<steady_clock::duration>(
@@ -152,10 +160,7 @@ void Communicator::send(int dest, int tag, std::span<const std::byte> data) {
     copy.tag = m.tag;
     copy.epoch = m.epoch;
     copy.deliver_at = m.deliver_at;
-    copy.payload = world_->pool().acquire(m.payload.size());
-    if (!m.payload.empty()) {
-      std::memcpy(copy.payload.data(), m.payload.data(), m.payload.size());
-    }
+    fill(copy, m.bytes());
   }
   world_->mailbox(orig_of(dest)).post(std::move(m));
   if (d.duplicate) world_->mailbox(orig_of(dest)).post(std::move(copy));
@@ -176,9 +181,7 @@ void Communicator::send_view(int dest, int tag, std::span<const std::byte> data)
   m.source = dense_rank_;
   m.tag = tag;
   m.epoch = epoch_;
-  m.zero_copy = true;
-  m.view = data;
-  m.lease = ViewLease(ledger_);
+  m.set_view(data, ledger_);
   ++ledger_->posted;
   world_->mailbox(orig_of(dest)).post(std::move(m));
 }
@@ -532,9 +535,7 @@ std::vector<std::byte> Communicator::recv_any_size(int source, int tag) {
                wire.begin() + static_cast<std::ptrdiff_t>(fault::kDataHeaderBytes));
     return wire;
   }
-  Message m = world_->mailbox(rank_).match(source, tag, timeout_, rank_, epoch_);
-  if (m.zero_copy) return {m.view.begin(), m.view.end()};
-  return std::move(m.payload).take();
+  return world_->mailbox(rank_).match(source, tag, timeout_, rank_, epoch_).take_bytes();
 }
 
 void Communicator::sendrecv(int dest, int send_tag, std::span<const std::byte> send_data,

@@ -106,10 +106,11 @@ class Communicator {
   /// FaultError(kRankDeath) when this rank is not in the survivor set.
   void apply_epoch(const EpochView& view);
 
-  /// Buffered send: copies `data` (into pool-recycled storage — no heap
-  /// allocation in steady state) and returns without waiting for the
-  /// receiver thread. With reliability enabled it additionally confirms
-  /// transport-level delivery (retransmitting as needed) and throws
+  /// Buffered send: copies `data` and returns without waiting for the
+  /// receiver thread. Up to Message::kInlineBytes travel inside the message
+  /// itself; larger payloads go into pool-recycled storage (no heap
+  /// allocation in steady state). With reliability enabled it additionally
+  /// confirms transport-level delivery (retransmitting as needed) and throws
   /// FaultError(kRetriesExhausted) when the channel stays dead.
   void send(int dest, int tag, std::span<const std::byte> data);
 

@@ -26,15 +26,7 @@ std::uint64_t shm_wait_ge(const World* world, int epoch,
   using Clock = std::chrono::steady_clock;
   const auto deadline =
       world != nullptr ? Clock::now() + world->recv_timeout() : Clock::time_point::max();
-  // Peer-dependent spin/sleep wait: on the event engine the shm fast path
-  // runs whole under managed blocking, so compensate while polling here.
-  BlockingGuard guard;
-  int spins = 0;
-  for (;;) {
-    const std::uint64_t v = cell.load(std::memory_order_acquire);
-    if (v >= target) {
-      return v;
-    }
+  const auto throw_if_poisoned = [&] {
     if (world != nullptr && world->aborted()) {
       throw FaultError(FaultKind::kAborted, self_rank, -1, -1,
                        std::string("woken by abort while waiting for ") +
@@ -46,20 +38,24 @@ std::uint64_t shm_wait_ge(const World* world, int epoch,
           std::string("woken by epoch revocation while waiting for ") +
               what + ": " + world->membership().revoke_flag().reason());
     }
-    ++spins;
-    if (spins < wait.spin_iters) {
-      continue;  // brief spin: intra-group handoffs are usually immediate
-    }
-    if (spins < wait.yield_iters) {
-      std::this_thread::yield();
-      continue;
-    }
+    return false;
+  };
+  // Peer-dependent spin/sleep wait: on the event engine the shm fast path
+  // runs whole under managed blocking, so compensate while polling here.
+  BlockingGuard guard;
+  // Brief spin, then yield: intra-group handoffs are usually immediate.
+  std::uint64_t v =
+      spin_until_ge(cell, target, wait, Clock::time_point::max(), throw_if_poisoned);
+  while (v < target) {
+    throw_if_poisoned();
     if (Clock::now() >= deadline) {
       throw FaultError(FaultKind::kTimeout, self_rank, -1, -1,
                        std::string("deadline expired waiting for ") + what);
     }
     std::this_thread::sleep_for(wait.sleep_slice);
+    v = cell.load(std::memory_order_acquire);
   }
+  return v;
 }
 
 ShmGroup::ShmGroup(World& world, int base_rank, int size, int epoch)

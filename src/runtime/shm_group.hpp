@@ -44,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <thread>
 
 #include "runtime/buffer_pool.hpp"
 
@@ -59,6 +60,30 @@ struct ShmWaitTuning {
   int yield_iters = 1024;  ///< total probes (spin + yield) before sleeping
   std::chrono::microseconds sleep_slice{50};  ///< park slice between probes
 };
+
+/// The spin phase of the runtime's one counter wait, shared by shm_wait_ge
+/// and the mailbox's poll-before-park (Mailbox::match): probe `cell`
+/// (acquire) until it reaches `target`, busy for the first wait.spin_iters
+/// probes and yielding after, for at most wait.yield_iters probes and never
+/// past `until` (checked in the yield phase). `poisoned()` runs after every
+/// failed probe; it may throw, and a true result ends the spin. Returns the
+/// last value observed, so `>= target` tells success.
+template <typename Poisoned>
+std::uint64_t spin_until_ge(const std::atomic<std::uint64_t>& cell,
+                            std::uint64_t target, const ShmWaitTuning& wait,
+                            std::chrono::steady_clock::time_point until,
+                            Poisoned&& poisoned) {
+  std::uint64_t v = cell.load(std::memory_order_acquire);
+  for (int probe = 1; v < target && !poisoned() && probe < wait.yield_iters;
+       ++probe) {
+    if (probe >= wait.spin_iters) {
+      if (std::chrono::steady_clock::now() >= until) break;
+      std::this_thread::yield();
+    }
+    v = cell.load(std::memory_order_acquire);
+  }
+  return v;
+}
 
 /// The runtime's one counter wait, shared by ShmGroup, ShmTree and the
 /// zero-copy view fence (Communicator::fence_views): spin -> yield -> sleep

@@ -48,6 +48,14 @@ fault::RecoveryConfig resolve_recovery(const WorldOptions& options) {
   return cfg;
 }
 
+/// Mailboxes poll before parking only when every rank can have a hardware
+/// thread. Read once per process: the query is a syscall, and event-engine
+/// callers build a p=1024 World per collective.
+bool poll_mailboxes(int size) {
+  static const unsigned hardware_threads = std::thread::hardware_concurrency();
+  return static_cast<unsigned>(size) <= hardware_threads;
+}
+
 }  // namespace
 
 World::World(int size, WorldOptions options)
@@ -72,10 +80,12 @@ World::World(int size, WorldOptions options)
   if (options_.pool != nullptr) pool_ = options_.pool;
   view_ledgers_ = std::make_unique<ViewLedger[]>(static_cast<std::size_t>(size));
   mailboxes_.reserve(static_cast<std::size_t>(size));
+  const bool poll = poll_mailboxes(size);
   for (int i = 0; i < size; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
     mailboxes_.back()->set_abort_flag(&abort_);
     mailboxes_.back()->set_revoke_flag(&membership_.revoke_flag());
+    mailboxes_.back()->set_poll(poll);
   }
 }
 
@@ -159,6 +169,12 @@ void World::barrier_wait(int epoch) {
 std::size_t World::pending_messages() const {
   std::size_t total = 0;
   for (const auto& mb : mailboxes_) total += mb->pending();
+  return total;
+}
+
+TransportCounters World::transport_counters() const {
+  TransportCounters total;
+  for (const auto& mb : mailboxes_) total += mb->counters();
   return total;
 }
 

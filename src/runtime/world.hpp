@@ -102,6 +102,10 @@ class World {
   /// Total undelivered messages across all mailboxes (leak check).
   [[nodiscard]] std::size_t pending_messages() const;
 
+  /// Always-on transport counters summed over every mailbox (polled and
+  /// parked matches, inline sends); readable while ranks run.
+  [[nodiscard]] TransportCounters transport_counters() const;
+
   /// Poison the World: record (rank, reason) and wake every waiter blocked
   /// in Mailbox::match or barrier_wait. First abort wins; idempotent.
   void abort(int rank, const std::string& reason);

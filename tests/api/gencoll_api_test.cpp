@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "core/partition.hpp"
+#include "core/reference.hpp"
 #include "runtime/membership.hpp"
 
 namespace gencoll {
@@ -331,6 +333,106 @@ TEST(Api, EpochShrinkInvalidatesTheScheduleCache) {
     });
   }
   for (auto& t : threads) t.join();
+}
+
+core::CollParams int64_params(CollOp op, int p, std::size_t count, int root = 0) {
+  core::CollParams params;
+  params.op = op;
+  params.p = p;
+  params.count = count;
+  params.elem_size = sizeof(std::int64_t);
+  params.root = root;
+  return params;
+}
+
+// Runs `body(coll)` on `p` rank threads over `world`, one Collectives each.
+void run_on(runtime::World& world, const std::function<void(Collectives&)>& body) {
+  std::vector<std::thread> threads;
+  for (int r = 0; r < world.size(); ++r) {
+    threads.emplace_back([&world, &body, r] {
+      runtime::Communicator comm(&world, r);
+      Collectives coll(comm);
+      body(coll);
+    });
+  }
+  for (auto& t : threads) t.join();
+}
+
+TEST(Api, SmallAllreduceLoopIsBitExactOnAPollingWorld) {
+  // p <= hardware threads, so the mailboxes poll before parking; every 8 B
+  // payload travels inline and the buffer pool is never touched.
+  const int p = std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 2, 4);
+  constexpr int kIterations = 400;
+  constexpr std::uint64_t kSeeds = 8;
+  const core::CollParams params = int64_params(CollOp::kAllreduce, p, 1);
+  std::vector<std::vector<std::vector<std::byte>>> inputs;
+  std::vector<std::vector<std::byte>> expected;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    inputs.push_back(core::make_inputs(params, DataType::kInt64, 40 + seed));
+    expected.push_back(
+        core::reference_outputs(params, inputs.back(), DataType::kInt64, ReduceOp::kSum)[0]);
+  }
+  runtime::World world(p);
+  run_on(world, [&](Collectives& coll) {
+    const auto rank = static_cast<std::size_t>(coll.rank());
+    std::vector<std::byte> buf(sizeof(std::int64_t)), out(sizeof(std::int64_t));
+    for (int it = 0; it < kIterations; ++it) {
+      const auto set = static_cast<std::size_t>(it) % kSeeds;
+      buf = inputs[set][rank];
+      if (it % 2 == 0) {
+        coll.allreduce(buf, DataType::kInt64, ReduceOp::kSum);  // in place
+        ASSERT_EQ(buf, expected[set]) << "iteration " << it << ", rank " << rank;
+      } else {
+        coll.allreduce(buf, out, DataType::kInt64, ReduceOp::kSum);
+        ASSERT_EQ(out, expected[set]) << "iteration " << it << ", rank " << rank;
+      }
+    }
+  });
+  EXPECT_GT(world.transport_counters().inline_sends, 0u);
+  EXPECT_EQ(world.pool().stats().acquires, 0u);
+  EXPECT_EQ(world.pending_messages(), 0u);
+}
+
+TEST(Api, StagingBufferReusedAcrossSizes) {
+  // In-place allreduce, bcast at the root and reduce on non-roots share one
+  // grow-only staging buffer; shrinking and growing sizes must not leak
+  // bytes from an earlier call into a later one.
+  constexpr int kRanks = 3;
+  runtime::World world(kRanks);
+  run_on(world, [&](Collectives& coll) {
+    const auto rank = static_cast<std::size_t>(coll.rank());
+    std::uint64_t seed = 70;
+    for (const std::size_t count : {std::size_t{512}, std::size_t{1}, std::size_t{8192},
+                                    std::size_t{3}, std::size_t{131072}}) {
+      const std::size_t bytes = count * sizeof(std::int64_t);
+      const int root = static_cast<int>(count % kRanks);
+
+      const auto ar = int64_params(CollOp::kAllreduce, kRanks, count);
+      const auto ar_in = core::make_inputs(ar, DataType::kInt64, ++seed);
+      std::vector<std::byte> buf = ar_in[rank];
+      coll.allreduce(buf, DataType::kInt64, ReduceOp::kSum);
+      ASSERT_EQ(buf, core::reference_outputs(ar, ar_in, DataType::kInt64,
+                                             ReduceOp::kSum)[rank])
+          << "allreduce of " << count;
+
+      const auto bc = int64_params(CollOp::kBcast, kRanks, count, root);
+      const auto bc_in = core::make_inputs(bc, DataType::kInt64, ++seed);
+      buf = rank == static_cast<std::size_t>(root) ? bc_in[rank]
+                                                   : std::vector<std::byte>(bytes);
+      coll.bcast(buf, root);
+      ASSERT_EQ(buf, bc_in[static_cast<std::size_t>(root)]) << "bcast of " << count;
+
+      const auto rd = int64_params(CollOp::kReduce, kRanks, count, root);
+      const auto rd_in = core::make_inputs(rd, DataType::kInt64, ++seed);
+      std::vector<std::byte> out(bytes);
+      coll.reduce(rd_in[rank], out, DataType::kInt64, ReduceOp::kSum, root);
+      if (rank == static_cast<std::size_t>(root)) {
+        ASSERT_EQ(out, core::reference_outputs(rd, rd_in, DataType::kInt64,
+                                               ReduceOp::kSum)[rank])
+            << "reduce of " << count;
+      }
+    }
+  });
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/error.hpp"
+#include "fault/plan.hpp"
 
 #include "runtime/world.hpp"
 
@@ -161,6 +164,98 @@ TEST(Comm, RecvTimeoutConfigurable) {
     comm.set_recv_timeout(std::chrono::milliseconds(50));
     EXPECT_EQ(comm.recv_timeout(), std::chrono::milliseconds(50));
   });
+}
+
+std::vector<std::byte> pattern(std::size_t n, std::size_t salt) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::byte>(i * 7 + static_cast<std::size_t>(salt));
+  return out;
+}
+
+TEST(Comm, InlineBoundarySizesRoundTrip) {
+  // 0, 1 and kInlineBytes travel inline, kInlineBytes + 1 through the pool;
+  // every receive path must read both forms.
+  constexpr std::size_t kN = Message::kInlineBytes;
+  World world(2);
+  Communicator sender(&world, 0);
+  Communicator receiver(&world, 1);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kN, kN + 1}) {
+    const auto data = pattern(n, n);
+    sender.send(1, 1, data);
+    std::vector<std::byte> out(n);
+    receiver.recv(0, 1, out);
+    EXPECT_EQ(out, data) << n << " B via recv";
+
+    sender.send(1, 2, data);
+    EXPECT_EQ(receiver.recv_any_size(0, 2), data) << n << " B via recv_any_size";
+
+    sender.send(1, 3, data);
+    const auto same = [&data](std::span<const std::byte> p) {
+      return std::equal(p.begin(), p.end(), data.begin(), data.end());
+    };
+    EXPECT_EQ(world.mailbox(1).drain_matching(0, 3, same), 1u)
+        << n << " B via drain_matching";
+  }
+  EXPECT_EQ(world.pending_messages(), 0u);
+  EXPECT_EQ(world.transport_counters().inline_sends, 9u);  // 3 paths x 3 sizes
+  EXPECT_EQ(world.pool().stats().acquires, 3u);           // only kN + 1 pooled
+}
+
+TEST(Comm, FaultPlanCorruptsAndDuplicatesInlineMessages) {
+  fault::FaultPlan plan;
+  plan.seed = 21;
+  plan.corrupt_prob = 1.0;
+  plan.dup_prob = 1.0;
+  WorldOptions options;
+  options.fault_plan = &plan;
+  World world(2, options);
+  Communicator sender(&world, 0);
+  Communicator receiver(&world, 1);
+  constexpr int kTag = 4;
+  const auto data = pattern(16, 3);
+  sender.send(1, kTag, data);
+
+  // The injector's decision for the first message on this channel.
+  const fault::FaultDecision d =
+      fault::decide(plan, 0, 1, kTag, 0, 0, fault::MsgStream::kData);
+  ASSERT_TRUE(d.corrupt);
+  ASSERT_TRUE(d.duplicate);
+  auto want = data;
+  const std::uint64_t bit = d.corrupt_bit % (want.size() * 8);
+  want[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+  for (int copy = 0; copy < 2; ++copy) {
+    std::vector<std::byte> got(data.size());
+    receiver.recv(0, kTag, got);
+    EXPECT_EQ(got, want) << "copy " << copy;
+  }
+  EXPECT_EQ(world.pending_messages(), 0u);
+  EXPECT_EQ(world.transport_counters().inline_sends, 2u);
+}
+
+TEST(Comm, OversubscribedWorldNeverPolls) {
+  const int ranks = static_cast<int>(std::thread::hardware_concurrency()) + 1;
+  constexpr int kRounds = 200;
+  World world(ranks);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < ranks; ++r) {
+    threads.emplace_back([&world, r, ranks] {
+      Communicator comm(&world, r);
+      const int right = (r + 1) % ranks;
+      const int left = (r + ranks - 1) % ranks;
+      for (int i = 0; i < kRounds; ++i) {
+        const std::int64_t mine = r * kRounds + i;
+        std::int64_t theirs = -1;
+        comm.sendrecv(right, i, std::as_bytes(std::span<const std::int64_t>(&mine, 1)),
+                      left, i,
+                      std::as_writable_bytes(std::span<std::int64_t>(&theirs, 1)));
+        EXPECT_EQ(theirs, left * kRounds + i);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const TransportCounters c = world.transport_counters();
+  EXPECT_EQ(c.polled_matches, 0u);
+  EXPECT_EQ(c.inline_sends, static_cast<std::uint64_t>(ranks * kRounds));
 }
 
 }  // namespace
