@@ -160,6 +160,9 @@ const char* reject(const HierSpec& spec, const CollParams& params) {
       params.count % static_cast<std::size_t>(params.p) != 0) {
     return "allgather composition requires p | count (uniform blocks)";
   }
+  // One group (p <= g) has no leader phase: the inter kernel never runs, so
+  // any kernel composes.
+  if (params.p <= spec.group_size) return nullptr;
   if (!offset_preserving_inter(spec.inter_alg)) {
     return "inter kernel is not offset-preserving";
   }
@@ -205,7 +208,16 @@ Schedule build_hierarchical_schedule(const HierSpec& rawspec,
   const int root = params.root;
   const int root_leader = (root / g) * g;
 
-  Schedule sub = build_schedule(spec.inter_alg, leader_params(spec, params));
+  Schedule sub;
+  if (G > 1) {
+    sub = build_schedule(spec.inter_alg, leader_params(spec, params));
+  } else {
+    // One group: the leader phase is empty, whatever kernel was named.
+    sub.params = leader_params(spec, params);
+    sub.params.k = effective_radix(spec.inter_alg, sub.params.k);
+    sub.name = algorithm_name(spec.inter_alg);
+    sub.ranks.resize(1);
+  }
 
   Schedule out;
   out.params = params;

@@ -155,7 +155,8 @@ struct HierLevelGroup {
 /// leader subproblem with offset-preserving composition, and g | p — except
 /// that a non-empty level vector relaxes the divisibility to a ragged last
 /// group for Bcast/Reduce/Allreduce (Allgather always needs g | p and
-/// p | count).
+/// p | count). A single group (p <= g) has no leader phase, so it accepts
+/// any inter kernel.
 [[nodiscard]] bool supports_hierarchical(const HierSpec& spec,
                                          const CollParams& params);
 

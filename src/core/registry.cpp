@@ -21,35 +21,45 @@ ScheduleAuditor set_schedule_auditor(ScheduleAuditor auditor) {
 
 const ScheduleAuditor& current_schedule_auditor() { return schedule_auditor(); }
 
-std::vector<Algorithm> algorithms_for(CollOp op) {
+namespace {
+// Static tables, so support queries on the collective hot path allocate
+// nothing.
+constexpr Algorithm kBcastAlgs[] = {
+    Algorithm::kLinear, Algorithm::kBinomial, Algorithm::kKnomial,
+    Algorithm::kRecursiveDoubling, Algorithm::kRecursiveMultiplying,
+    Algorithm::kRing, Algorithm::kKring, Algorithm::kPipeline};
+constexpr Algorithm kRootedAlgs[] = {  // reduce, gather, scatter
+    Algorithm::kLinear, Algorithm::kBinomial, Algorithm::kKnomial};
+constexpr Algorithm kAllgatherAlgs[] = {
+    Algorithm::kLinear, Algorithm::kBinomial, Algorithm::kKnomial,
+    Algorithm::kRecursiveDoubling, Algorithm::kRecursiveMultiplying,
+    Algorithm::kRing, Algorithm::kKring, Algorithm::kBruck};
+constexpr Algorithm kAllreduceAlgs[] = {
+    Algorithm::kBinomial, Algorithm::kKnomial,
+    Algorithm::kRecursiveDoubling, Algorithm::kRecursiveMultiplying,
+    Algorithm::kRing, Algorithm::kKring, Algorithm::kRabenseifner};
+constexpr Algorithm kReduceScatterAlgs[] = {Algorithm::kRing,
+                                            Algorithm::kRecursiveHalving};
+constexpr Algorithm kAlltoallAlgs[] = {Algorithm::kLinear, Algorithm::kPairwise};
+constexpr Algorithm kBarrierAlgs[] = {Algorithm::kRecursiveDoubling,
+                                      Algorithm::kDissemination};
+constexpr Algorithm kScanAlgs[] = {Algorithm::kLinear,
+                                   Algorithm::kRecursiveDoubling,
+                                   Algorithm::kRecursiveMultiplying};
+}  // namespace
+
+std::span<const Algorithm> algorithms_for(CollOp op) {
   switch (op) {
-    case CollOp::kBcast:
-      return {Algorithm::kLinear, Algorithm::kBinomial, Algorithm::kKnomial,
-              Algorithm::kRecursiveDoubling, Algorithm::kRecursiveMultiplying,
-              Algorithm::kRing, Algorithm::kKring, Algorithm::kPipeline};
+    case CollOp::kBcast: return kBcastAlgs;
     case CollOp::kReduce:
-      return {Algorithm::kLinear, Algorithm::kBinomial, Algorithm::kKnomial};
     case CollOp::kGather:
-      return {Algorithm::kLinear, Algorithm::kBinomial, Algorithm::kKnomial};
-    case CollOp::kAllgather:
-      return {Algorithm::kLinear, Algorithm::kBinomial, Algorithm::kKnomial,
-              Algorithm::kRecursiveDoubling, Algorithm::kRecursiveMultiplying,
-              Algorithm::kRing, Algorithm::kKring, Algorithm::kBruck};
-    case CollOp::kAllreduce:
-      return {Algorithm::kBinomial, Algorithm::kKnomial,
-              Algorithm::kRecursiveDoubling, Algorithm::kRecursiveMultiplying,
-              Algorithm::kRing, Algorithm::kKring, Algorithm::kRabenseifner};
-    case CollOp::kScatter:
-      return {Algorithm::kLinear, Algorithm::kBinomial, Algorithm::kKnomial};
-    case CollOp::kReduceScatter:
-      return {Algorithm::kRing, Algorithm::kRecursiveHalving};
-    case CollOp::kAlltoall:
-      return {Algorithm::kLinear, Algorithm::kPairwise};
-    case CollOp::kBarrier:
-      return {Algorithm::kRecursiveDoubling, Algorithm::kDissemination};
-    case CollOp::kScan:
-      return {Algorithm::kLinear, Algorithm::kRecursiveDoubling,
-              Algorithm::kRecursiveMultiplying};
+    case CollOp::kScatter: return kRootedAlgs;
+    case CollOp::kAllgather: return kAllgatherAlgs;
+    case CollOp::kAllreduce: return kAllreduceAlgs;
+    case CollOp::kReduceScatter: return kReduceScatterAlgs;
+    case CollOp::kAlltoall: return kAlltoallAlgs;
+    case CollOp::kBarrier: return kBarrierAlgs;
+    case CollOp::kScan: return kScanAlgs;
   }
   return {};
 }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,8 +13,9 @@
 
 namespace gencoll::core {
 
-/// All algorithms implementing `op`, baselines included.
-std::vector<Algorithm> algorithms_for(CollOp op);
+/// All algorithms implementing `op`, baselines included (a view of a static
+/// table: no allocation).
+std::span<const Algorithm> algorithms_for(CollOp op);
 
 /// True if (op, alg) is implemented at all.
 bool supports(CollOp op, Algorithm alg);

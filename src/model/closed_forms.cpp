@@ -461,7 +461,9 @@ DiscreteCost hierarchical_discrete_cost(Algorithm inter_alg, int group_size,
   CollParams lp = params;
   lp.p = G;
   lp.root = params.root / g;
-  const DiscreteCost sub = discrete_cost(inter_alg, lp);
+  // One group has no leader phase (core/hierarchy.cpp skips the kernel).
+  const DiscreteCost sub =
+      G > 1 ? discrete_cost(inter_alg, lp) : DiscreteCost{0, 0, std::nullopt};
 
   const int root_leader = (params.root / g) * g;
   // (p - G) non-leader ranks each contribute / receive the full payload;

@@ -42,8 +42,8 @@ std::optional<AlgorithmChoice> SelectionConfig::lookup(core::CollOp op,
     }
   }
   if (best == nullptr) return std::nullopt;
-  return AlgorithmChoice{best->algorithm, best->k, best->group_size, best->intra,
-                         best->levels};
+  return AlgorithmChoice{best->algorithm, best->k,      best->group_size,
+                         best->intra,     best->levels, best->flat_pinned};
 }
 
 AlgorithmChoice SelectionConfig::choose(core::CollOp op, int p,
@@ -73,6 +73,8 @@ void SelectionConfig::save(std::ostream& os) const {
         os << core::hier_format_levels(rule.levels);
       }
       os << ' ' << hier_intra_name(rule.intra);
+    } else if (rule.flat_pinned) {
+      os << " hier 1";
     }
     os << "\n";
   }
@@ -128,26 +130,34 @@ SelectionConfig SelectionConfig::load(std::istream& is) {
     if (std::string clause; ls >> clause) {
       if (clause != "hier") fail("unknown rule clause '" + clause + "'");
       std::string shape;
-      std::string intra_name;
-      if (!(ls >> shape >> intra_name)) {
+      if (!(ls >> shape)) {
         fail("malformed hier clause (want: hier <g|LxM...> <shm|mailbox>)");
       }
-      // A bare integer is the original flat composition; an 'x'-joined
-      // vector selects the multi-level intra tree. Both go through the
-      // topology parser so rejection is uniform.
-      const auto parsed = core::hier_parse_levels(shape);
-      if (!parsed) fail("bad hier group shape '" + shape + "'");
-      rule.group_size = core::hier_levels_product(*parsed);
-      if (rule.group_size < 2) fail("hier group size must be >= 2");
-      if (shape.find('x') != std::string::npos) {
-        rule.levels = core::hier_canonical_levels(*parsed);
-        for (int entry : rule.levels) {
-          if (entry < 2) fail("bad hier group shape '" + shape + "'");
+      if (shape == "1") {
+        // Pinned flat: there is no intra phase, so no transport word.
+        rule.flat_pinned = true;
+      } else {
+        std::string intra_name;
+        if (!(ls >> intra_name)) {
+          fail("malformed hier clause (want: hier <g|LxM...> <shm|mailbox>)");
         }
+        // A bare integer is the original flat composition; an 'x'-joined
+        // vector selects the multi-level intra tree. Both go through the
+        // topology parser so rejection is uniform.
+        const auto parsed = core::hier_parse_levels(shape);
+        if (!parsed) fail("bad hier group shape '" + shape + "'");
+        rule.group_size = core::hier_levels_product(*parsed);
+        if (rule.group_size < 2) fail("hier group size must be >= 2");
+        if (shape.find('x') != std::string::npos) {
+          rule.levels = core::hier_canonical_levels(*parsed);
+          for (int entry : rule.levels) {
+            if (entry < 2) fail("bad hier group shape '" + shape + "'");
+          }
+        }
+        const auto intra = parse_hier_intra(intra_name);
+        if (!intra) fail("unknown hier intra transport '" + intra_name + "'");
+        rule.intra = *intra;
       }
-      const auto intra = parse_hier_intra(intra_name);
-      if (!intra) fail("unknown hier intra transport '" + intra_name + "'");
-      rule.intra = *intra;
       if (std::string extra; ls >> extra) {
         fail("trailing token '" + extra + "' after hier clause");
       }

@@ -36,6 +36,9 @@ struct SelectionRule {
   /// a bare integer (the original flat fan-in). group_size always holds the
   /// product.
   std::vector<int> levels;
+  /// `hier 1`: a flat rule that opts out of the co-located default
+  /// composition (AlgorithmChoice::flat_pinned).
+  bool flat_pinned = false;
 
   [[nodiscard]] bool matches(core::CollOp o, std::size_t nbytes) const {
     return o == op && nbytes >= min_bytes && nbytes < max_bytes;
@@ -54,8 +57,10 @@ class SelectionConfig {
   /// Mutable access for post-processing (e.g. the autotuner's rule merging).
   [[nodiscard]] std::vector<SelectionRule>& mutable_rules() { return rules_; }
 
-  /// Descriptive header fields (machine name / scale the config was tuned
-  /// for); informational only.
+  /// Header fields: the machine name and scale the config was tuned for.
+  /// `ppn` >= 2 also declares that consecutive blocks of ppn ranks share a
+  /// node, which turns on Collectives' co-located default composition
+  /// (api/gencoll.hpp); `machine` and `nodes` are informational.
   std::string machine;
   int nodes = 0;
   int ppn = 0;
@@ -72,9 +77,11 @@ class SelectionConfig {
   ///   # comments
   ///   machine <name> nodes <n> ppn <n>
   ///   rule <op> <min_bytes> <max_bytes|inf> <algorithm> <k> [hier <shape> <intra>]
+  ///   rule <op> <min_bytes> <max_bytes|inf> <algorithm> <k> hier 1
   /// where <shape> is a bare integer group size >= 2 (flat intra fan-in) or
   /// an 'x'-joined level vector like `2x4` (multi-level intra tree, every
-  /// factor >= 2), and <intra> is `shm` or `mailbox`. A malformed or
+  /// factor >= 2), and <intra> is `shm` or `mailbox`. `hier 1` pins the rule
+  /// flat (no default composition) and takes no <intra>. A malformed or
   /// truncated hier clause — or any trailing token — fails the load.
   void save(std::ostream& os) const;
   static SelectionConfig load(std::istream& is);  ///< throws on parse errors

@@ -39,6 +39,10 @@ struct AlgorithmChoice {
   /// group_size must equal its product. Kept last so positional aggregate
   /// initialization of the earlier fields stays valid.
   std::vector<int> levels;
+  /// A `hier 1` rule clause: flat, and exempt from the co-located default
+  /// composition (api/gencoll.hpp) and the GENCOLL_GROUP_SIZE /
+  /// GENCOLL_HIER_LEVELS environment knobs.
+  bool flat_pinned = false;
 };
 
 /// The vendor default for (op, p, nbytes).

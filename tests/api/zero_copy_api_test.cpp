@@ -137,10 +137,14 @@ TEST(ZeroCopyApi, FenceMakesBuffersReusableOnALongLivedWorld) {
         EXPECT_EQ(mib.back(), 10.0f);
         EXPECT_EQ(coll.zero_copy_rejections(), 1u);
 
-        // Below the size gate: no proof, no views.
+        // Below the size gate: no proof, no views. Pinned flat, since the
+        // co-located default would otherwise take it off the mailbox.
+        AlgSpec flat;
+        flat.group_size = 1;
         std::vector<float> tiny(2, 1.0f);
         EXPECT_EQ(posted_by([&] {
-                    coll.allreduce(as_bytes(tiny), DataType::kFloat, ReduceOp::kSum);
+                    coll.allreduce(as_bytes(tiny), DataType::kFloat, ReduceOp::kSum,
+                                   flat);
                   }),
                   0u);
         EXPECT_EQ(tiny[0], 4.0f);

@@ -118,6 +118,28 @@ TEST(Hierarchy, ComposedScheduleStructure) {
   }
 }
 
+TEST(Hierarchy, SingleGroupAcceptsAnyKernel) {
+  // p == g: no leader phase, so neither offset preservation nor leader
+  // radix support is required, and nothing is spliced between the phases.
+  const CollParams allgather = params_of(CollOp::kAllgather, 4, 8);
+  EXPECT_TRUE(supports_hierarchical(spec_of(4, Algorithm::kLinear, 1), allgather));
+  EXPECT_TRUE(supports_hierarchical(spec_of(4, Algorithm::kBruck, 1), allgather));
+  // k-ring k=4 cannot run over one leader, and need not.
+  EXPECT_TRUE(supports_hierarchical(spec_of(4, Algorithm::kKring, 4),
+                                    params_of(CollOp::kAllreduce, 4, 16)));
+  // Shape rules still hold: a ragged allgather does not compose.
+  EXPECT_FALSE(supports_hierarchical(spec_of(4, Algorithm::kLinear, 1),
+                                     params_of(CollOp::kAllgather, 4, 6)));
+
+  const Schedule sched =
+      build_hierarchical_schedule(spec_of(4, Algorithm::kLinear, 1), allgather);
+  EXPECT_EQ(sched.name, "hier_g4+linear");
+  ASSERT_TRUE(sched.hier.has_value());
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(sched.hier->intra_end[r], sched.hier->leader_end[r]) << r;
+  }
+}
+
 struct EndToEndCase {
   CollOp op;
   Algorithm inter;

@@ -1,7 +1,8 @@
-// The `hier <g> <shm|mailbox>` rule clause: save/load round-trips, lookup
-// surfacing group_size + intra transport, and strict rejection of every
-// malformed-clause shape (a truncated or misspelled clause silently parsed
-// as flat would make a tuned config lie about what it runs).
+// The `hier <g> <shm|mailbox>` and `hier 1` rule clauses: save/load
+// round-trips, lookup surfacing group_size + intra transport, and strict
+// rejection of every malformed-clause shape (a truncated or misspelled
+// clause silently parsed as flat would make a tuned config lie about what it
+// runs).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -127,8 +128,9 @@ TEST(HierRule, MalformedClausesAreRejected) {
   const std::string flat = "rule allreduce 0 inf recursive_multiplying 2";
   expect_rejected(flat + " hier", "truncated: no g");
   expect_rejected(flat + " hier 8", "truncated: no intra");
-  expect_rejected(flat + " hier 1 shm", "g below 2");
+  expect_rejected(flat + " hier 1 shm", "hier 1 takes no intra transport");
   expect_rejected(flat + " hier 0 shm", "g zero");
+  expect_rejected(flat + " hier 0", "g zero, no transport");
   expect_rejected(flat + " hier 8 rdma", "unknown intra transport");
   expect_rejected(flat + " tier 8 shm", "unknown clause word");
   expect_rejected(flat + " hier 8 shm extra", "trailing token");
@@ -159,6 +161,38 @@ TEST(HierRule, OneEntriesCanonicalizeOnLoad) {
   std::stringstream out;
   config.save(out);
   EXPECT_NE(out.str().find("hier 2x4 shm"), std::string::npos) << out.str();
+}
+
+TEST(HierRule, FlatPinRoundTrips) {
+  // `hier 1` pins a rule flat: no group, no transport word, and lookup says
+  // so, which keeps Collectives' co-located default off for its range.
+  std::stringstream ss;
+  ss << "machine polaris nodes 1 ppn 4\n"
+     << "rule allgather 0 inf linear 1 hier 1\n"
+     << "rule allreduce 0 inf recursive_multiplying 4\n";
+  const SelectionConfig config = SelectionConfig::load(ss);
+  ASSERT_EQ(config.rules().size(), 2u);
+  EXPECT_TRUE(config.rules()[0].flat_pinned);
+  EXPECT_EQ(config.rules()[0].group_size, 1);
+  EXPECT_FALSE(config.rules()[1].flat_pinned);
+  const auto hit = config.lookup(CollOp::kAllgather, 64);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->flat_pinned);
+  EXPECT_EQ(hit->group_size, 1);
+  EXPECT_FALSE(config.lookup(CollOp::kAllreduce, 64)->flat_pinned);
+
+  std::stringstream out;
+  config.save(out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("rule allgather 0 inf linear 1 hier 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("rule allreduce 0 inf recursive_multiplying 4\n"),
+            std::string::npos)
+      << text;
+  std::stringstream again;
+  SelectionConfig::load(out).save(again);
+  EXPECT_EQ(again.str(), text);
 }
 
 TEST(HierRule, WellFormedClauseStillLoadsAfterRejections) {

@@ -43,6 +43,7 @@ struct SweepTotals {
   std::size_t rounds_checked = 0;
   std::size_t intergroup_checked = 0;
   std::size_t hier_levels_checked = 0;  ///< multi-level (level-vector) trees proven
+  std::size_t single_group_checked = 0;  ///< one-group (g == p) compositions proven
   gencoll::check::HazardStats hazards;
   std::vector<Failure> failures;
 };
@@ -192,6 +193,7 @@ void sweep_hier(const gencoll::core::HierSpec& spec, const CollParams& params,
     return;
   }
   if (!spec.levels.empty()) ++totals.hier_levels_checked;
+  if (params.p <= spec.group_size) ++totals.single_group_checked;
   check_and_record(sched, spec.inter_alg, opts, totals);
 }
 
@@ -373,12 +375,52 @@ int run_sweep(const gencoll::util::Cli& cli, const CheckOptions& opts) {
     }
   }
 
+  // Single group (g == p): no leader phase, so the composition accepts any
+  // kernel the rule names, including non-offset-preserving ones (the shipped
+  // configs' `linear`). This is the shape Collectives' co-located default
+  // runs on a one-node World; counts straddle the 256 KiB zero-copy gate
+  // that bounds it (every count a multiple of p, so allgather composes).
+  const std::size_t gate_count = gencoll::core::ExecTuning{}.pipeline_threshold / elem;
+  for (CollOp op : hier_ops) {
+    for (Algorithm alg : gencoll::core::algorithms_for(op)) {
+      for (int g : {2, 4, 8}) {
+        if (g > pmax) continue;
+        const int p = g;
+        const auto up = static_cast<std::size_t>(p);
+        std::vector<std::size_t> counts = sweep_counts(p, user_counts);
+        counts.insert(counts.end(), {gate_count - up, gate_count, gate_count + up});
+        for (const std::vector<int>& shape : hier_level_shapes(g)) {
+          for (std::size_t count : counts) {
+            CollParams params;
+            params.op = op;
+            params.p = p;
+            params.count = count;
+            params.elem_size = elem;
+            params.k = gencoll::core::candidate_radixes(op, alg, p).front();
+            gencoll::core::HierSpec spec;
+            spec.group_size = g;
+            spec.levels = shape;
+            spec.inter_alg = alg;
+            spec.inter_k = params.k;
+            std::vector<int> roots{0};
+            if (rooted(op)) roots.push_back(p - 1);
+            for (int root : roots) {
+              params.root = root;
+              sweep_hier(spec, params, opts, totals);
+            }
+          }
+        }
+      }
+    }
+  }
+
   const bool json = cli.get_bool("json");
   if (json) {
     std::cout << "{\"checked\":" << totals.checked << ","
               << "\"skipped\":" << totals.skipped << ","
               << "\"shrunk_checked\":" << totals.shrunk_checked << ","
               << "\"hier_levels_checked\":" << totals.hier_levels_checked << ","
+              << "\"single_group_checked\":" << totals.single_group_checked << ","
               << "\"hazards\":{"
               << "\"zero_copy_races\":" << totals.hazards.zero_copy_races << ","
               << "\"benign_reorder_pairs\":" << totals.hazards.benign_reorder_pairs
@@ -402,7 +444,8 @@ int run_sweep(const gencoll::util::Cli& cli, const CheckOptions& opts) {
   } else {
     std::cout << "gencoll_check sweep: " << totals.checked << " schedules proved ("
               << totals.shrunk_checked << " crash-at-rank-r rebuilds, "
-              << totals.hier_levels_checked << " multi-level intra trees), "
+              << totals.hier_levels_checked << " multi-level intra trees, "
+              << totals.single_group_checked << " single-group compositions), "
               << totals.skipped << " unsupported-parameter combinations skipped\n"
               << "hazard populations (stats, not failures): zero_copy_races="
               << totals.hazards.zero_copy_races
