@@ -87,6 +87,7 @@ AutotuneReport autotune_op(CollOp op, const netsim::MachineConfig& machine,
       gset.insert({2, 4, 8});
       gset.insert(machine.ppn);
     }
+    bool ppn_measured = false;  // some `hier <ppn>` candidate was simulated
     for (int g : gset) {
       if (g < 2 || p % g != 0 || p / g < 2) continue;
       // Intra shapes for this g: the flat fan-in plus every two-factor
@@ -123,6 +124,7 @@ AutotuneReport autotune_op(CollOp op, const netsim::MachineConfig& machine,
                                 g,  us, shape};
             report.all_points.push_back(point);
             if (us < best.latency_us) best = point;
+            if (g == machine.ppn) ppn_measured = true;
           }
         }
       }
@@ -142,11 +144,14 @@ AutotuneReport autotune_op(CollOp op, const netsim::MachineConfig& machine,
     rule.group_size = best.group_size;
     rule.intra = HierIntra::kShm;
     rule.levels = best.levels;
+    // A flat winner that beat `hier <ppn>` is written as `hier 1`, so the
+    // API's co-located default cannot override the measured choice.
+    rule.flat_pinned = best.group_size <= 1 && ppn_measured;
     if (!report.config.rules().empty()) {
       const SelectionRule& prev = report.config.rules().back();
       if (prev.op == rule.op && prev.algorithm == rule.algorithm &&
           prev.k == rule.k && prev.group_size == rule.group_size &&
-          prev.levels == rule.levels &&
+          prev.levels == rule.levels && prev.flat_pinned == rule.flat_pinned &&
           prev.intra == rule.intra && prev.max_bytes == rule.min_bytes) {
         report.config.mutable_rules().back().max_bytes = rule.max_bytes;
         continue;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "core/registry.hpp"
 #include "netsim/simulator.hpp"
@@ -136,6 +138,51 @@ TEST(Autotune, ConfigRoundTripsThroughFile) {
   report.config.save_file(path);
   const SelectionConfig loaded = SelectionConfig::load_file(path);
   EXPECT_EQ(loaded.rules().size(), report.config.rules().size());
+}
+
+
+TEST(Autotune, FlatWinnersOverPpnGroupsRoundTripAsHier1) {
+  // p = 16 over 4 ranks per node: every composable op also simulates
+  // `hier 4`. A flat winner that beat it is pinned (`hier 1`), so the API's
+  // co-located default cannot override the measured choice.
+  const auto machine = netsim::polaris_like(4, 4);
+  AutotuneOptions options;
+  options.sizes = {64, 4096, 65536, 1u << 20};
+  const AutotuneReport report = autotune_all(machine, options);
+  std::size_t pinned = 0;
+  for (const MeasuredPoint& winner : report.winners) {
+    const bool ppn_measured = std::any_of(
+        report.all_points.begin(), report.all_points.end(),
+        [&](const MeasuredPoint& point) {
+          return point.op == winner.op && point.nbytes == winner.nbytes &&
+                 point.group_size == machine.ppn;
+        });
+    const auto choice = report.config.lookup(winner.op, winner.nbytes);
+    ASSERT_TRUE(choice.has_value());
+    EXPECT_EQ(choice->flat_pinned, winner.group_size <= 1 && ppn_measured)
+        << core::coll_op_name(winner.op) << " " << winner.nbytes << " B";
+    if (choice->flat_pinned) ++pinned;
+  }
+  ASSERT_GT(pinned, 0u) << "no flat winner over a measured hier 4";
+
+  std::stringstream text;
+  report.config.save(text);
+  EXPECT_NE(text.str().find(" hier 1\n"), std::string::npos) << text.str();
+  const SelectionConfig loaded = SelectionConfig::load(text);
+  ASSERT_EQ(loaded.rules().size(), report.config.rules().size());
+  for (std::size_t i = 0; i < loaded.rules().size(); ++i) {
+    EXPECT_EQ(loaded.rules()[i].flat_pinned, report.config.rules()[i].flat_pinned);
+    EXPECT_EQ(loaded.rules()[i].group_size, report.config.rules()[i].group_size);
+  }
+}
+
+TEST(Autotune, NoPinWithoutAMeasuredPpnGroup) {
+  // One rank per node: no `hier <ppn>` candidate exists, so nothing pins.
+  const AutotuneReport report =
+      autotune_all(netsim::frontier_like(8, 1), quick_options());
+  for (const SelectionRule& rule : report.config.rules()) {
+    EXPECT_FALSE(rule.flat_pinned) << core::coll_op_name(rule.op);
+  }
 }
 
 }  // namespace
