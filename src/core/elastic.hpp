@@ -17,6 +17,12 @@
 // whose step program finishes just before a late peer crash does NOT return
 // a full-p result — the rendezvous fails, and it shrinks and retries with
 // the rest of the survivors, so all delivered results agree on the epoch.
+//
+// One phase machine per rank does all of this (start -> execute -> commit,
+// recover -> start). The threaded engine and execute_rank_elastic run it to
+// completion in blocking mode; the event engine (core/event_exec.hpp)
+// advances the same machine in resumable slices, so both engines shrink,
+// commit and report identically.
 #pragma once
 
 #include <cstddef>
@@ -73,8 +79,8 @@ struct ElasticOptions {
 };
 
 /// Build the schedule for one attempt's parameters following the fallback
-/// chain above. Throws UnsupportedParams when nothing fits. Exposed for the
-/// service layer's arm re-enumeration and for tests.
+/// chain above. Throws UnsupportedParams when nothing fits. Exposed so
+/// tests can prove the schedule a shrink rebuilds.
 Schedule build_elastic_schedule(const ElasticOptions& options, CollParams params);
 
 /// Run one rank of an elastic collective to commit. `params` describes the
@@ -91,12 +97,13 @@ std::vector<std::byte> execute_rank_elastic(runtime::Communicator& comm,
                                             const InputProvider& provider,
                                             ElasticReport* report = nullptr);
 
-/// Threaded front end: spawn params.p ranks under `world_options` (which
-/// should resolve to CrashPolicy::kShrink — under kAbort this degenerates to
-/// plain fail-fast execution) and run every rank through
-/// execute_rank_elastic. Returns outputs indexed by ORIGINAL rank; dead
-/// ranks' entries are empty. `reports`, when non-null, receives one entry
-/// per original rank (dead ranks keep default-constructed reports).
+/// Front end: run params.p ranks under `world_options` (which should resolve
+/// to CrashPolicy::kShrink — under kAbort this degenerates to plain
+/// fail-fast execution) on the engine it selects (explicit option >
+/// GENCOLL_EXECUTOR > threaded), each rank through the phase machine.
+/// Returns outputs indexed by ORIGINAL rank; dead ranks' entries are empty.
+/// `reports`, when non-null, receives one entry per original rank (dead
+/// ranks keep default-constructed reports).
 std::vector<std::vector<std::byte>> execute_threaded_elastic(
     const CollParams& params, runtime::DataType type, runtime::ReduceOp op,
     const ElasticOptions& options, const InputProvider& provider,

@@ -1,10 +1,15 @@
-// Threaded schedule executor: runs a Schedule on the in-process runtime with
-// real buffers, one thread per rank. This is the correctness engine — every
-// algorithm's data movement is proven here against reference.hpp before its
-// timing is ever reported by the simulator.
+// Schedule executor: runs a Schedule on the in-process runtime with real
+// buffers, one thread per rank by default or on the event engine
+// (core/event_exec.hpp). Both engines step through schedules with the one
+// interpreter declared here (exec_detail::ScheduleRunner). This is the
+// correctness path — every algorithm's data movement is proven here against
+// reference.hpp before its timing is ever reported by the simulator.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -96,12 +101,12 @@ void execute_rank_program(const Schedule& sched, runtime::Communicator& comm,
                           runtime::ReduceOp op, obs::TraceSink* sink = nullptr,
                           const ExecTuning& tuning = {});
 
-/// Execute only steps [begin_step, end_step) of this rank's program. This is
-/// the body of execute_rank_program without the validation prologue; the
-/// hierarchical executor (core/hierarchy.hpp) uses it to run the leader-level
-/// phase of a composed schedule between its shared-segment intra phases.
-/// Callers are responsible for buffer validation and for setting the
-/// communicator's trace sink.
+/// Execute only steps [begin_step, end_step) of this rank's program: one
+/// blocking pass of the step interpreter (exec_detail::ScheduleRunner),
+/// without the validation prologue. The hierarchical executor
+/// (core/hierarchy.hpp) uses it to run the leader-level phase of a composed
+/// schedule between its shared-segment intra phases. Callers are responsible
+/// for buffer validation and for setting the communicator's trace sink.
 void execute_step_range(const Schedule& sched, runtime::Communicator& comm,
                         std::span<const std::byte> input,
                         std::span<std::byte> output, runtime::DataType type,
@@ -109,9 +114,8 @@ void execute_step_range(const Schedule& sched, runtime::Communicator& comm,
                         const ExecTuning& tuning, std::size_t begin_step,
                         std::size_t end_step);
 
-// Shared between the threaded step loop and the event executor's resumable
-// cursor (core/event_exec.cpp) so span emission and segmentation cannot
-// drift between engines. Not part of the public execution surface.
+// The machinery both engines share: the step interpreter, the rank-body
+// interface and the engine switch. Not part of the public execution surface.
 namespace exec_detail {
 
 /// Emit one span (and message instant) after a step — or one segment of a
@@ -122,12 +126,87 @@ void emit_step(obs::TraceSink& sink, int rank, std::size_t step, const Step& s,
                std::size_t bytes, double begin_us, double end_us,
                int group = -1, obs::LinkClass link = obs::LinkClass::kUnknown);
 
-/// Segment size for pipelined steps: the configured segment rounded down to
-/// an element multiple, 0 when pipelining is off or cannot hold a whole
-/// element. Both sides of a matched message derive segmentation from the
-/// step's byte count alone, so sender and receiver always agree.
-std::size_t pipeline_segment_bytes(const ExecTuning& tuning,
-                                   std::size_t elem_size);
+/// Throws std::invalid_argument unless `comm`, `type` and both buffers fit
+/// `sched`: the prologue of every rank body.
+void check_rank_buffers(const Schedule& sched, const runtime::Communicator& comm,
+                        std::span<const std::byte> input,
+                        std::span<const std::byte> output, runtime::DataType type);
+
+/// The step interpreter: a cursor (step index, bytes done within the step)
+/// over one rank's steps [begin, end). Steps of at least
+/// ExecTuning::pipeline_threshold bytes move in segments; both endpoints of
+/// a matched message split identically because segmentation depends only on
+/// the step's byte count. Each segment emits one span when a sink is set.
+///
+/// advance() runs in one of two modes. Blocking (the threaded engine and
+/// the hierarchy's leader phase): a receive waits in Communicator::recv_msg
+/// and the call returns kComplete. Resumable (the event engine): a receive
+/// polls with try_recv_msg, ticking crash_check once per segment as the
+/// blocking path does; when nothing is deliverable the call returns kParked
+/// with its wake time, and it returns kYielded after a fairness budget of
+/// segments. The next advance() continues where the last one stopped.
+class ScheduleRunner {
+ public:
+  using clock = std::chrono::steady_clock;
+  enum class Run { kComplete, kParked, kYielded };
+  struct Outcome {
+    Run run = Run::kComplete;
+    clock::time_point wake_at = clock::time_point::max();  ///< kParked only
+  };
+
+  void reset(const Schedule* sched, std::span<const std::byte> input,
+             std::span<std::byte> output, std::size_t begin_step,
+             std::size_t end_step, int rank);
+
+  Outcome advance(runtime::Communicator& comm, runtime::DataType type,
+                  runtime::ReduceOp op, obs::TraceSink* sink,
+                  const ExecTuning& tuning, bool blocking);
+
+ private:
+  const Schedule* sched_ = nullptr;
+  std::span<const std::byte> input_;
+  std::span<std::byte> output_;
+  std::size_t step_ = 0;
+  std::size_t end_ = 0;
+  int rank_ = 0;
+  std::size_t done_ = 0;      ///< bytes completed within the current step
+  bool seg_polled_ = false;   ///< crash_check already ticked for this segment
+  bool deadline_armed_ = false;
+  clock::time_point deadline_{};
+  double begin_us_ = -1.0;    ///< current segment's span start (-1 = unset)
+};
+
+/// Start one rank's run of `sched`. A schedule whose intra phases run over
+/// shared segments (runs_intra_shm, core/hierarchy.hpp) runs whole through
+/// execute_hierarchical, as a managed-blocking region on the event engine
+/// (its seqlock waits cannot park); returns true. Otherwise checks the
+/// buffers, sets the trace sink and resets `runner` over every step of this
+/// rank; returns false.
+bool begin_rank_program(ScheduleRunner& runner, const Schedule& sched,
+                        runtime::Communicator& comm,
+                        std::span<const std::byte> input,
+                        std::span<std::byte> output, runtime::DataType type,
+                        runtime::ReduceOp op, obs::TraceSink* sink,
+                        const ExecTuning& tuning);
+
+/// One rank's body: advance(comm, true) runs it to completion on the
+/// calling thread; advance(comm, false) runs it in resumable slices with
+/// ScheduleRunner's outcomes. Exceptions escape to the engine, which applies
+/// runtime::RankFailures::record.
+class RankBody {
+ public:
+  virtual ~RankBody() = default;
+  virtual ScheduleRunner::Outcome advance(runtime::Communicator& comm,
+                                          bool blocking) = 0;
+};
+
+/// Run `body(r)` as rank r of a fresh World of `p` ranks on `engine`: a
+/// thread per rank (blocking mode) or tasks on an event pool (resumable
+/// mode). Returns once every body finished, with RankFailures::rethrow
+/// as the result. Defined in event_exec.cpp.
+void run_ranks(runtime::ExecutorKind engine, int p,
+               const runtime::WorldOptions& options,
+               const std::function<RankBody&(int rank)>& body);
 
 }  // namespace exec_detail
 

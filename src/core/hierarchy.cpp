@@ -738,40 +738,29 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
 
 }  // namespace
 
+bool runs_intra_shm(const Schedule& sched, const runtime::Communicator& comm) {
+  return sched.hier && sched.hier->intra_shm && sched.hier->group_size >= 2 &&
+         comm.plain_transport();
+}
+
 void execute_hierarchical(const Schedule& sched, runtime::Communicator& comm,
                           std::span<const std::byte> input,
                           std::span<std::byte> output, runtime::DataType type,
                           runtime::ReduceOp op, obs::TraceSink* sink,
                           const ExecTuning& tuning) {
-  if (!sched.hier) {
-    execute_rank_program(sched, comm, input, output, type, op, sink, tuning);
-    return;
-  }
-  const HierInfo& h = *sched.hier;
   // The shm fast path needs the plain transport: under fault injection or
   // reliability the flat composed program runs over the mailbox, so crashes
   // and corruption surface through the existing fault machinery.
-  if (!h.intra_shm || h.group_size < 2 || !comm.plain_transport()) {
+  if (!runs_intra_shm(sched, comm)) {
     execute_rank_program(sched, comm, input, output, type, op, sink, tuning);
     return;
   }
-
-  const CollParams& pr = sched.params;
-  if (comm.size() != pr.p) {
-    throw std::invalid_argument("execute_hierarchical: communicator size != p");
-  }
-  if (runtime::datatype_size(type) != pr.elem_size) {
-    throw std::invalid_argument("execute_hierarchical: elem_size != datatype size");
-  }
-  const int rank = comm.rank();
+  exec_detail::check_rank_buffers(sched, comm, input, output, type);
   comm.set_trace_sink(sink);
-  if (input.size() < input_bytes(pr, rank)) {
-    throw std::invalid_argument("execute_hierarchical: input too small");
-  }
-  if (output.size() < output_bytes(pr)) {
-    throw std::invalid_argument("execute_hierarchical: output too small");
-  }
 
+  const HierInfo& h = *sched.hier;
+  const CollParams& pr = sched.params;
+  const int rank = comm.rank();
   if (!h.levels.empty()) {
     execute_tree_hier(sched, comm, input, output, type, op, sink, tuning);
     return;

@@ -167,6 +167,13 @@ struct HierLevelGroup {
 Schedule build_hierarchical_schedule(const HierSpec& spec,
                                      const CollParams& params);
 
+/// True when execute_hierarchical runs `sched`'s intra phases over shared
+/// segments: a hierarchical schedule with hier->intra_shm, groups of at
+/// least two, on a plain transport. Those phases are seqlock waits between
+/// group members that cannot park.
+[[nodiscard]] bool runs_intra_shm(const Schedule& sched,
+                                  const runtime::Communicator& comm);
+
 /// Execute one rank of a hierarchical schedule. On a plain transport with
 /// hier->intra_shm set, the intra phases run over the rank's ShmGroup (flat
 /// tier) or ShmTree (level vectors: partitioned concurrent reduction with

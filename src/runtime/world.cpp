@@ -215,62 +215,65 @@ void World::run(int size, const std::function<void(Communicator&)>& fn) {
   run(size, fn, WorldOptions{});
 }
 
+void RankFailures::record(int rank) {
+  if (world_.crash_policy() == fault::CrashPolicy::kShrink) {
+    // Elastic mode: this rank's death is survivable — announce it
+    // (idempotent; the crash site usually already did) and let the surviving
+    // ranks shrink and finish. Any *other* exception is a real failure and
+    // falls through to the fail-fast path.
+    try {
+      throw;
+    } catch (const FaultError& e) {
+      if (e.kind() == FaultKind::kRankDeath) {
+        world_.announce_death(rank, e.what());
+        std::lock_guard<std::mutex> lock(mu_);
+        ++deaths_;
+        return;
+      }
+    } catch (...) {
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!first_error_) first_error_ = std::current_exception();
+  }
+  // Fail fast: wake every peer blocked on this rank's messages. The first
+  // (recorded) exception stays the one re-thrown.
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    world_.abort(rank, e.what());
+  } catch (...) {
+    world_.abort(rank, "non-standard exception");
+  }
+}
+
+void RankFailures::rethrow() const {
+  if (first_error_) std::rethrow_exception(first_error_);
+  if (deaths_ == world_.size()) {
+    throw FaultError(FaultKind::kRankDeath, -1, -1, -1,
+                     "every rank died; no survivors to complete the collective");
+  }
+}
+
 void World::run(int size, const std::function<void(Communicator&)>& fn,
                 const WorldOptions& options) {
   World world(size, options);
-  const bool shrink = world.crash_policy() == fault::CrashPolicy::kShrink;
-
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  int deaths_swallowed = 0;
-
+  RankFailures failures(world);
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(size));
   for (int r = 0; r < size; ++r) {
-    threads.emplace_back([&, r] {
+    threads.emplace_back([&world, &failures, &fn, r] {
       try {
         Communicator comm(&world, r);
         fn(comm);
       } catch (...) {
-        if (shrink) {
-          // Elastic mode: this rank's death is survivable — announce it
-          // (idempotent; the crash site usually already did) and let the
-          // surviving threads shrink and finish. Any *other* exception is a
-          // real failure and falls through to the fail-fast path.
-          try {
-            throw;
-          } catch (const FaultError& e) {
-            if (e.kind() == FaultKind::kRankDeath) {
-              world.announce_death(r, e.what());
-              std::lock_guard<std::mutex> lock(error_mu);
-              ++deaths_swallowed;
-              return;
-            }
-          } catch (...) {
-          }
-        }
-        {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-        // Fail fast: wake every peer blocked on this rank's messages. The
-        // first (recorded) exception stays the one re-thrown below.
-        try {
-          throw;
-        } catch (const std::exception& e) {
-          world.abort(r, e.what());
-        } catch (...) {
-          world.abort(r, "non-standard exception");
-        }
+        failures.record(r);
       }
     });
   }
   for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-  if (deaths_swallowed == size) {
-    throw FaultError(FaultKind::kRankDeath, -1, -1, -1,
-                     "every rank died; no survivors to complete the collective");
-  }
+  failures.rethrow();
 }
 
 }  // namespace gencoll::runtime

@@ -27,6 +27,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -167,7 +168,7 @@ class World {
 
   /// Convenience: construct a World of `size` ranks, run `fn(comm)` on a
   /// thread per rank, join, and re-throw the first rank exception (if any).
-  /// A throwing rank aborts the World so its peers fail fast.
+  /// A throwing rank aborts the World so its peers fail fast (RankFailures).
   static void run(int size, const std::function<void(Communicator&)>& fn);
   static void run(int size, const std::function<void(Communicator&)>& fn,
                   const WorldOptions& options);
@@ -194,9 +195,36 @@ class World {
   Membership membership_;
 
   // Declared after the pool members: segments must release into a live pool.
-  std::mutex shm_mu_;
+  // Every co-located collective call locks shm_mu_ from every rank. It
+  // starts a cache line so that lock traffic never lands on the line of
+  // membership state the shared-memory waits poll, wherever the World sits.
+  alignas(64) std::mutex shm_mu_;
   std::map<std::tuple<int, int, int>, std::unique_ptr<ShmGroup>> shm_groups_;
   std::map<std::tuple<int, int, int>, std::unique_ptr<ShmTree>> shm_trees_;
+};
+
+/// The per-rank failure policy and final result of one run of rank bodies
+/// on a World, shared by every engine (World::run's threads, the event
+/// executor's tasks).
+class RankFailures {
+ public:
+  explicit RankFailures(World& world) : world_(world) {}
+
+  /// Call from a catch block, with rank `rank`'s exception in flight. Under
+  /// CrashPolicy::kShrink a FaultError(kRankDeath) is survivable: the death
+  /// is announced and counted. Anything else is recorded (the first one
+  /// wins) and abort-poisons the World so peers fail fast.
+  void record(int rank);
+
+  /// The run's result once every rank body has returned: rethrow the first
+  /// recorded error, or throw FaultError(kRankDeath) when every rank died.
+  void rethrow() const;
+
+ private:
+  World& world_;
+  std::mutex mu_;
+  std::exception_ptr first_error_;
+  int deaths_ = 0;
 };
 
 }  // namespace gencoll::runtime

@@ -168,6 +168,49 @@ TEST(EventExec, EmitsTheSameTraceSpansAsThreaded) {
             spans_per_rank(ExecutorKind::kThreaded));
 }
 
+TEST(EventExec, ResumesInsideAPipelinedStep) {
+  // 64 KiB in 16-byte segments: every step of the recursive-doubling
+  // exchange moves 4096 segments, beyond the resumable mode's fairness
+  // budget (1024 segments), so event tasks yield and resume part-way
+  // through a step.
+  CollParams params;
+  params.op = CollOp::kAllreduce;
+  params.p = 4;
+  params.count = 16 * 1024;  // 64 KiB
+  params.elem_size = 4;
+  params.k = 2;
+  const Schedule sched = build_schedule(Algorithm::kRecursiveDoubling, params);
+  const auto inputs = make_inputs(params, DataType::kInt32, kSeed);
+  const auto want =
+      reference_outputs(params, inputs, DataType::kInt32, ReduceOp::kSum);
+
+  ExecTuning tuning;
+  tuning.pipeline_threshold = 64;
+  tuning.pipeline_segment = 16;
+
+  auto run = [&](ExecutorKind kind, std::vector<std::size_t>& spans) {
+    obs::TraceRecorder recorder(params.p);
+    ThreadedExecOptions options;
+    options.sink = &recorder;
+    options.world.executor = kind;
+    options.tuning = tuning;
+    auto out =
+        execute_threaded(sched, inputs, DataType::kInt32, ReduceOp::kSum, options);
+    for (int r = 0; r < params.p; ++r) spans.push_back(recorder.spans(r).size());
+    return out;
+  };
+
+  std::vector<std::size_t> threaded_spans;
+  std::vector<std::size_t> event_spans;
+  expect_exact(params, run(ExecutorKind::kThreaded, threaded_spans), want,
+               "threaded, 4096 segments per step");
+  expect_exact(params, run(ExecutorKind::kEvent, event_spans), want,
+               "event, 4096 segments per step");
+  EXPECT_EQ(event_spans, threaded_spans);
+  // At least one step's worth of segments beyond the budget per rank.
+  for (const std::size_t n : threaded_spans) EXPECT_GT(n, 4096U);
+}
+
 TEST(EventExec, HierarchicalShmFastPathMatchesReference) {
   // Plain transport + intra_shm: the event engine routes the whole composed
   // schedule through the shared-segment fast path under a BlockingGuard.

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "core/elastic.hpp"
 #include "core/reference.hpp"
 #include "core/registry.hpp"
 #include "obs/metrics.hpp"
@@ -30,12 +31,29 @@ CollParams allreduce_params(int p) {
   return params;
 }
 
+/// The input checks are shared by both engines' front ends; every
+/// rejection test below also runs with the engine pinned each way.
+constexpr runtime::ExecutorKind kEngines[] = {runtime::ExecutorKind::kThreaded,
+                                              runtime::ExecutorKind::kEvent};
+
+ThreadedExecOptions on_engine(runtime::ExecutorKind kind) {
+  ThreadedExecOptions options;
+  options.world.executor = kind;
+  return options;
+}
+
 TEST(Executor, RejectsWrongInputCount) {
   const CollParams params = allreduce_params(4);
   const Schedule sched = build_schedule(Algorithm::kRecursiveDoubling, params);
   std::vector<std::vector<std::byte>> too_few(3);
   EXPECT_THROW(execute_threaded(sched, too_few, DataType::kInt32, ReduceOp::kSum),
                std::invalid_argument);
+  for (const auto kind : kEngines) {
+    EXPECT_THROW(execute_threaded(sched, too_few, DataType::kInt32, ReduceOp::kSum,
+                                  on_engine(kind)),
+                 std::invalid_argument)
+        << "engine " << static_cast<int>(kind);
+  }
 }
 
 TEST(Executor, RejectsWrongInputSize) {
@@ -46,6 +64,24 @@ TEST(Executor, RejectsWrongInputSize) {
   inputs[1].resize(63);  // one byte short
   EXPECT_THROW(execute_threaded(sched, inputs, DataType::kInt32, ReduceOp::kSum),
                std::invalid_argument);
+  // The elastic front end takes each rank's input from its provider, and
+  // those bytes go through the same rank-buffer check.
+  ElasticOptions elastic;
+  elastic.alg = Algorithm::kRecursiveDoubling;
+  const InputProvider short_by_one = [](const CollParams& cur, int dense) {
+    return std::vector<std::byte>(input_bytes(cur, dense) - 1);
+  };
+  for (const auto kind : kEngines) {
+    EXPECT_THROW(execute_threaded(sched, inputs, DataType::kInt32, ReduceOp::kSum,
+                                  on_engine(kind)),
+                 std::invalid_argument)
+        << "engine " << static_cast<int>(kind);
+    EXPECT_THROW(execute_threaded_elastic(params, DataType::kInt32, ReduceOp::kSum,
+                                          elastic, short_by_one,
+                                          on_engine(kind).world),
+                 std::invalid_argument)
+        << "elastic, engine " << static_cast<int>(kind);
+  }
 }
 
 TEST(Executor, RejectsDatatypeElemSizeMismatch) {
@@ -55,6 +91,12 @@ TEST(Executor, RejectsDatatypeElemSizeMismatch) {
   // elem_size 4 but datatype int64 (8 bytes): must be rejected up front.
   EXPECT_THROW(execute_threaded(sched, inputs, DataType::kInt64, ReduceOp::kSum),
                std::invalid_argument);
+  for (const auto kind : kEngines) {
+    EXPECT_THROW(execute_threaded(sched, inputs, DataType::kInt64, ReduceOp::kSum,
+                                  on_engine(kind)),
+                 std::invalid_argument)
+        << "engine " << static_cast<int>(kind);
+  }
 }
 
 TEST(Executor, RankProgramRunsOnLongLivedCommunicator) {

@@ -143,7 +143,7 @@ void check_and_record(const Schedule& sched, Algorithm alg,
 /// dense remap contract) and prove the rebuilt schedule with the shrunk-
 /// schedule guard, exactly the audit the elastic retry path runs mid-recovery
 /// (DESIGN.md section 11). Rooted ops promote the lowest survivor when the
-/// root itself is the victim, mirroring execute_rank_elastic.
+/// root itself is the victim, as the elastic phase machine does.
 void sweep_shrunk(Algorithm alg, const CollParams& full, int victim,
                   const CheckOptions& opts, SweepTotals& totals) {
   std::vector<int> survivors;

@@ -21,6 +21,11 @@ Rules (each can be waived per line with `// lint-waive(<rule>)`):
             pool). An ad-hoc thread elsewhere bypasses the event executor's
             managed-blocking accounting and the pool's teardown contract;
             route concurrency through World::run or EventPool instead.
+  step-loop `recv_msg(`, `try_recv_msg(` and `send_view(` calls in src/core/
+            outside the step interpreter (src/core/executor.cpp) — both
+            engines run schedules through its one ScheduleRunner, and a
+            second loop over a Schedule's sends and receives would drift
+            from it (segmentation, crash_check ticks, spans) unnoticed.
 
 Usage:
   tools/lint_gencoll.py [--root DIR]   # lint src/ and tools/ under DIR
@@ -45,6 +50,12 @@ TAG_BASE_RE = re.compile(r"\b(\d+)\s*<<\s*20\b")
 # std::this_thread (sleep/yield) is fine; the rule targets thread *creation*
 # types, which only src/runtime/ may own.
 STD_THREAD_RE = re.compile(r"\bstd::thread\b")
+# Transport calls that execute a schedule's steps. The schedule builders'
+# prog.send( / prog.recv( append steps and must not match.
+STEP_LOOP_RE = re.compile(r"\b(?:try_recv_msg|recv_msg|send_view)\s*\(")
+
+# The one step interpreter.
+INTERPRETER = "src/core/executor.cpp"
 
 # The one blessed home for environment reads.
 ENV_HOME = ("src/util/env.hpp", "src/util/env.cpp")
@@ -125,6 +136,17 @@ def lint_std_thread(rel: str, lineno: int, code: str, raw: str) -> Iterable[Find
                       "blocking accounting and teardown stay correct")
 
 
+def lint_step_loop(rel: str, lineno: int, code: str, raw: str) -> Iterable[Finding]:
+    rel_posix = rel.replace("\\", "/")
+    if not rel_posix.startswith("src/core/") or rel_posix == INTERPRETER:
+        return
+    if STEP_LOOP_RE.search(code) and not waived(raw, "step-loop"):
+        yield Finding(rel, lineno, "step-loop",
+                      "schedule transport call outside the step interpreter: "
+                      "run steps through exec_detail::ScheduleRunner "
+                      f"({INTERPRETER})")
+
+
 def lint_tag_bases(files: dict[str, list[str]]) -> Iterable[Finding]:
     """Collect every `N << 20` on a tag-defining line; duplicate N values are
     collisions. Non-tag uses of `<< 20` (byte-size math, env bounds) are out
@@ -161,6 +183,7 @@ def lint_files(files: dict[str, list[str]]) -> list[Finding]:
             findings.extend(lint_getenv(rel, lineno, code, raw))
             findings.extend(lint_raw_new(rel, lineno, code, raw))
             findings.extend(lint_std_thread(rel, lineno, code, raw))
+            findings.extend(lint_step_loop(rel, lineno, code, raw))
     findings.extend(lint_tag_bases(files))
     return sorted(findings)
 
@@ -219,6 +242,28 @@ def selftest() -> int:
          {"src/core/a.cpp": "std::this_thread::sleep_for(ms);"}, []),
         ("std-thread in comment ok",
          {"src/core/a.cpp": "// never use std::thread here"}, []),
+        # step-loop fires on schedule transport calls in src/core/ outside
+        # the interpreter, waives, and spares the builders' prog.send/recv.
+        ("step-loop fires",
+         {"src/core/hierarchy.cpp": "auto m = comm.recv_msg(s.peer, s.tag, len);"},
+         ["step-loop"]),
+        ("step-loop try_recv fires",
+         {"src/core/a.cpp": "auto r = comm.try_recv_msg(p, t, n, true);"},
+         ["step-loop"]),
+        ("step-loop send_view fires",
+         {"src/core/a.cpp": "comm.send_view(s.peer, s.tag, view);"},
+         ["step-loop"]),
+        ("step-loop interpreter ok",
+         {"src/core/executor.cpp": "m = comm.recv_msg(s.peer, s.tag, len);"}, []),
+        ("step-loop waived",
+         {"src/core/a.cpp":
+          "comm.send_view(p, t, v);  // lint-waive(step-loop)"}, []),
+        ("step-loop builders ok",
+         {"src/core/knomial.cpp": "prog.recv(peer, tag, off, n);\n"
+                                  "prog.send(peer, tag, off, n);"}, []),
+        ("step-loop outside core ok",
+         {"src/runtime/comm.cpp": "const Message m = recv_msg(source, tag, n);"},
+         []),
         # tag-base fires only on duplicates of tag-defining lines.
         ("tag collision fires",
          {"src/core/a.hpp": "inline constexpr int kFooTag = 8 << 20;",
