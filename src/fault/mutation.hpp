@@ -41,11 +41,11 @@ enum class ProtocolMutation {
   /// in-flight messages from the interrupted attempt linger as permanent
   /// pending() leaks on channels the shrunk schedules never match again.
   kSkipInstallPurge,
-  /// ShmGroup::publish advances the generation counter without updating the
-  /// published ptr/len: the reader observes generation g with generation
-  /// g-1's payload (null/empty for the first publication) — the
-  /// publication-order half of the seqlock contract, violated without a data
-  /// race so the failure is a deterministic wrong answer, not UB.
+  /// ShmTree::publish_buffers advances the generation counter without
+  /// updating the published buffer pointers: the reader observes generation
+  /// g with generation g-1's buffers (null/empty for the first publication)
+  /// — the publication-order half of the seqlock contract, violated without
+  /// a data race so the failure is a deterministic wrong answer, not UB.
   kSeqlockPublishBeforeData,
   /// The reliable receiver accepts already-delivered sequence numbers as
   /// fresh: a retransmitted or fault-duplicated envelope is handed to the

@@ -210,7 +210,7 @@ class Communicator {
 
   /// The World this communicator belongs to (non-owning). The hierarchical
   /// executor uses it to reach the rank's shared-segment group
-  /// (World::shm_group, runtime/shm_group.hpp).
+  /// (World::shm_tree, runtime/shm_group.hpp).
   [[nodiscard]] World& world() { return *world_; }
 
  private:

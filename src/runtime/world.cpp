@@ -102,21 +102,6 @@ ViewLedger& World::view_ledger(int rank) {
   return view_ledgers_[static_cast<std::size_t>(rank)];
 }
 
-ShmGroup& World::shm_group(int group_size, int group_id) {
-  if (group_size < 2 || group_id < 0 ||
-      (group_id + 1) * group_size > size_) {
-    throw std::invalid_argument("World::shm_group: group outside world");
-  }
-  const int epoch = membership_.epoch();
-  std::lock_guard<std::mutex> lock(shm_mu_);
-  auto& entry = shm_groups_[{epoch, group_size, group_id}];
-  if (!entry) {
-    entry = std::make_unique<ShmGroup>(*this, group_id * group_size, group_size,
-                                       epoch);
-  }
-  return *entry;
-}
-
 ShmTree& World::shm_tree(int base_rank, int size) {
   if (size < 1 || base_rank < 0 || base_rank + size > size_) {
     throw std::invalid_argument("World::shm_tree: group outside world");

@@ -48,7 +48,6 @@
 
 namespace gencoll::runtime {
 
-class ShmGroup;
 class ShmTree;
 
 struct WorldOptions {
@@ -85,7 +84,7 @@ struct WorldOptions {
 class World {
  public:
   explicit World(int size, WorldOptions options = {});
-  ~World();  // out of line: shm_groups_ holds incomplete ShmGroup here
+  ~World();  // out of line: shm_trees_ holds incomplete ShmTree here
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
@@ -150,20 +149,15 @@ class World {
   /// rank's Communicator is gone (execute_threaded returns without a fence).
   [[nodiscard]] ViewLedger& view_ledger(int rank);
 
-  /// The shared-segment primitive for the group of `group_size` consecutive
-  /// ranks starting at group_id * group_size (runtime/shm_group.hpp).
-  /// Created lazily on first request and kept for the World's lifetime, so
-  /// generation counters persist across back-to-back collectives. Thread
-  /// safe; every member of a group receives the same object. Groups are
-  /// keyed per membership epoch: after a shrink the survivors get fresh
-  /// segments (clean generation counters over the dense rank space) while
+  /// The shared-segment primitive (runtime/shm_group.hpp ShmTree) for the
+  /// group of ranks [base_rank, base_rank + size); `size` may be smaller
+  /// than the nominal group size (ragged last group). Created lazily on
+  /// first request and kept for the World's lifetime, so generation
+  /// counters persist across back-to-back collectives. Thread safe; every
+  /// member of a group receives the same object. Groups are keyed per
+  /// membership epoch: after a shrink the survivors get fresh segments
+  /// (clean generation counters over the dense rank space) while
   /// stale-epoch waiters keep their old, revoked group.
-  ShmGroup& shm_group(int group_size, int group_id);
-
-  /// The multi-level shared-segment primitive (runtime/shm_group.hpp
-  /// ShmTree) for the group of ranks [base_rank, base_rank + size). Same
-  /// lazy-creation / epoch-keying contract as shm_group(); `size` may be
-  /// smaller than the nominal group size (ragged last group).
   ShmTree& shm_tree(int base_rank, int size);
 
   /// Convenience: construct a World of `size` ranks, run `fn(comm)` on a
@@ -199,7 +193,6 @@ class World {
   // starts a cache line so that lock traffic never lands on the line of
   // membership state the shared-memory waits poll, wherever the World sits.
   alignas(64) std::mutex shm_mu_;
-  std::map<std::tuple<int, int, int>, std::unique_ptr<ShmGroup>> shm_groups_;
   std::map<std::tuple<int, int, int>, std::unique_ptr<ShmTree>> shm_trees_;
 };
 

@@ -294,9 +294,10 @@ TEST(MutationReplay, SkipInstallPurgeLeaksStaleEpochMessages) {
 // ---------------------------------------------------------------------------
 // kSeqlockPublishBeforeData: the model's counterexample is a consumer
 // observing generation t's counter over generation t-1's payload. Against
-// the real ShmGroup the mutated publish advances the counter without ever
-// installing ptr/len, so the leader synchronizes correctly — and reads the
-// wrong (stale/empty) bytes. Deterministic wrong answer, no data race.
+// the real ShmTree the mutated publish_buffers advances the counter without
+// ever installing the buffer pointers, so the leader synchronizes correctly
+// in buffers_of — and reads the wrong (stale/empty) bytes. Deterministic
+// wrong answer, no data race.
 // ---------------------------------------------------------------------------
 
 void run_shm_fan_in(bool mutate) {
@@ -311,26 +312,27 @@ void run_shm_fan_in(bool mutate) {
   if (mutate) guard.emplace(ProtocolMutation::kSeqlockPublishBeforeData);
 
   runtime::World::run(kGroup, [&](runtime::Communicator& comm) {
-    runtime::ShmGroup& group = comm.world().shm_group(kGroup, 0);
+    runtime::ShmTree& tree = comm.world().shm_tree(0, kGroup);
     const int self = comm.world_rank();
-    if (self == 0) {
-      for (int round = 0; round < kRounds; ++round) {
+    // Keep every round's buffer alive: under the mutation the leader may
+    // be reading a previous round's (or no) publication.
+    std::vector<std::vector<std::byte>> bufs;
+    for (int round = 0; round < kRounds; ++round) {
+      bufs.push_back(pattern_bytes(kBytes, self * 16 + round));
+      const std::uint64_t gen = tree.publish_buffers(self, bufs.back(), {});
+      if (self == 0) {
+        // The one-level small path's leader take: each member's published
+        // input in rank order, then one fan-out releases them all.
         for (int member = 1; member < kGroup; ++member) {
-          const auto span = group.await_publication(member, self);
+          const runtime::ShmTree::Buffers b = tree.buffers_of(member, gen, self);
           observed[static_cast<std::size_t>(round)]
                   [static_cast<std::size_t>(member)]
-                      .assign(span.begin(), span.end());
-          group.release_publication(member);
+                      .assign(b.src, b.src + b.src_len);
         }
-      }
-    } else {
-      // Keep every round's buffer alive: under the mutation the leader may
-      // be reading a previous round's (or no) publication.
-      std::vector<std::vector<std::byte>> bufs;
-      for (int round = 0; round < kRounds; ++round) {
-        bufs.push_back(pattern_bytes(kBytes, self * 16 + round));
-        group.publish(self, bufs.back());
-        group.await_release(self, self);
+        tree.await_fanout_acks(tree.fanout_publish(), self);
+      } else {
+        (void)tree.await_fanout(self, self);
+        tree.ack_fanout(self);
       }
     }
   });
@@ -341,7 +343,7 @@ void run_shm_fan_in(bool mutate) {
                                 [static_cast<std::size_t>(member)];
       const auto want = pattern_bytes(kBytes, member * 16 + round);
       if (mutate) {
-        // The counter advanced but ptr/len never did: the synchronized-but-
+        // The counter advanced but the pointers never did: the synchronized-but-
         // wrong read the model predicted (empty initial payload).
         EXPECT_NE(got, want)
             << "round " << round << " member " << member

@@ -276,7 +276,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 /// Leader death during the shared-segment intra phase: the transport is
-/// plain (no fault plan), so the intra phases really run over ShmGroup
+/// plain (no fault plan), so the intra phases really run over ShmTree
 /// seqlock waits — the members of the dead leader's group are woken out of
 /// those waits by the epoch revocation (the hard wakeup path), and p'=7 is
 /// prime, forcing the hierarchy to flatten on retry.

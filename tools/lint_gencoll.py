@@ -26,6 +26,12 @@ Rules (each can be waived per line with `// lint-waive(<rule>)`):
             engines run schedules through its one ScheduleRunner, and a
             second loop over a Schedule's sends and receives would drift
             from it (segmentation, crash_check ticks, spans) unnoticed.
+  one-shm-engine
+            `shm_tree(` calls in src/ outside the hierarchical executor
+            (src/core/hierarchy.cpp) and the World that owns the groups
+            (src/runtime/world.*) — every shared-memory intra-node phase runs
+            through execute_hierarchical on runtime::ShmTree, and a second
+            caller would be a second intra-node executor.
 
 Usage:
   tools/lint_gencoll.py [--root DIR]   # lint src/ and tools/ under DIR
@@ -56,6 +62,13 @@ STEP_LOOP_RE = re.compile(r"\b(?:try_recv_msg|recv_msg|send_view)\s*\(")
 
 # The one step interpreter.
 INTERPRETER = "src/core/executor.cpp"
+
+# Requests for a World's shared-memory group object.
+SHM_TREE_RE = re.compile(r"\bshm_tree\s*\(")
+
+# The one shared-memory executor, and the World that hands out its groups.
+SHM_ENGINE_HOMES = ("src/core/hierarchy.cpp", "src/runtime/world.hpp",
+                    "src/runtime/world.cpp")
 
 # The one blessed home for environment reads.
 ENV_HOME = ("src/util/env.hpp", "src/util/env.cpp")
@@ -147,6 +160,17 @@ def lint_step_loop(rel: str, lineno: int, code: str, raw: str) -> Iterable[Findi
                       f"({INTERPRETER})")
 
 
+def lint_one_shm_engine(rel: str, lineno: int, code: str, raw: str) -> Iterable[Finding]:
+    rel_posix = rel.replace("\\", "/")
+    if not rel_posix.startswith("src/") or rel_posix in SHM_ENGINE_HOMES:
+        return
+    if SHM_TREE_RE.search(code) and not waived(raw, "one-shm-engine"):
+        yield Finding(rel, lineno, "one-shm-engine",
+                      "shared-memory group requested outside the hierarchical "
+                      "executor: run intra-node phases through "
+                      "core::execute_hierarchical (src/core/hierarchy.cpp)")
+
+
 def lint_tag_bases(files: dict[str, list[str]]) -> Iterable[Finding]:
     """Collect every `N << 20` on a tag-defining line; duplicate N values are
     collisions. Non-tag uses of `<< 20` (byte-size math, env bounds) are out
@@ -184,6 +208,7 @@ def lint_files(files: dict[str, list[str]]) -> list[Finding]:
             findings.extend(lint_raw_new(rel, lineno, code, raw))
             findings.extend(lint_std_thread(rel, lineno, code, raw))
             findings.extend(lint_step_loop(rel, lineno, code, raw))
+            findings.extend(lint_one_shm_engine(rel, lineno, code, raw))
     findings.extend(lint_tag_bases(files))
     return sorted(findings)
 
@@ -264,6 +289,24 @@ def selftest() -> int:
         ("step-loop outside core ok",
          {"src/runtime/comm.cpp": "const Message m = recv_msg(source, tag, n);"},
          []),
+        # one-shm-engine fires on shm_tree( in src/ outside the executor and
+        # the World, and waives.
+        ("one-shm-engine fires",
+         {"src/api/gencoll.cpp":
+          "runtime::ShmTree& t = comm.world().shm_tree(base, s);"},
+         ["one-shm-engine"]),
+        ("one-shm-engine executor ok",
+         {"src/core/hierarchy.cpp":
+          "runtime::ShmTree& tree = comm.world().shm_tree(base, s);"}, []),
+        ("one-shm-engine world ok",
+         {"src/runtime/world.cpp":
+          "ShmTree& World::shm_tree(int base_rank, int size) {"}, []),
+        ("one-shm-engine waived",
+         {"src/core/a.cpp":
+          "auto& t = world.shm_tree(0, 4);  // lint-waive(one-shm-engine)"},
+         []),
+        ("one-shm-engine outside src ok",
+         {"tests/runtime/t.cpp": "ShmTree& t = world.shm_tree(0, 4);"}, []),
         # tag-base fires only on duplicates of tag-defining lines.
         ("tag collision fires",
          {"src/core/a.hpp": "inline constexpr int kFooTag = 8 << 20;",
