@@ -140,7 +140,8 @@ Counterexample make_counterexample(const SeqlockModel& model,
   cex.model = "seqlock";
   cex.config = "g=" + std::to_string(model.config().g) +
                " rounds=" + std::to_string(model.config().rounds) +
-               " crashes<=" + std::to_string(model.config().max_crashes);
+               " crashes<=" + std::to_string(model.config().max_crashes) +
+               (model.config().no_fanout ? " no_fanout" : "");
   fill_common(cex, model, verdict);
   cex.plan.seed = kReplaySeed;
   // Shm handshake steps are not p2p ops, so the op counter has no exact

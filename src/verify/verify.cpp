@@ -136,15 +136,18 @@ SweepOutcome run_sweep(
       }
     }
   }
-  for (int g = 2; g <= 5; ++g) {
-    for (int rounds = 1; rounds <= 2; ++rounds) {
-      for (int crashes = 0; crashes <= 1; ++crashes) {
-        SeqlockConfig cfg;
-        cfg.g = g;
-        cfg.rounds = rounds;
-        cfg.max_crashes = crashes;
-        sweep_clean(out, progress,
-                    explore_seqlock(cfg, ProtocolMutation::kNone, base));
+  for (const bool no_fanout : {false, true}) {
+    for (int g = 2; g <= 5; ++g) {
+      for (int rounds = 1; rounds <= 2; ++rounds) {
+        for (int crashes = 0; crashes <= 1; ++crashes) {
+          SeqlockConfig cfg;
+          cfg.g = g;
+          cfg.rounds = rounds;
+          cfg.max_crashes = crashes;
+          cfg.no_fanout = no_fanout;
+          sweep_clean(out, progress,
+                      explore_seqlock(cfg, ProtocolMutation::kNone, base));
+        }
       }
     }
   }

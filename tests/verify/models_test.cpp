@@ -75,17 +75,21 @@ TEST(MembershipModelTest, RestrictedCrashAlphabetsExhaustOk) {
 }
 
 TEST(SeqlockModelTest, CleanScopesExhaustOk) {
-  for (int g = 2; g <= 4; ++g) {
-    for (int rounds = 1; rounds <= 2; ++rounds) {
-      for (int crashes = 0; crashes <= 1; ++crashes) {
-        SeqlockConfig cfg;
-        cfg.g = g;
-        cfg.rounds = rounds;
-        cfg.max_crashes = crashes;
-        const auto verdict = explore(SeqlockModel(cfg));
-        EXPECT_EQ(verdict.kind, VerdictKind::kOk)
-            << "g=" << g << " rounds=" << rounds << " crashes=" << crashes
-            << ": " << verdict.detail;
+  // Fan-out rounds, and reduces without a root hop (done-counter fence).
+  for (const bool no_fanout : {false, true}) {
+    for (int g = 2; g <= 4; ++g) {
+      for (int rounds = 1; rounds <= 2; ++rounds) {
+        for (int crashes = 0; crashes <= 1; ++crashes) {
+          SeqlockConfig cfg;
+          cfg.g = g;
+          cfg.rounds = rounds;
+          cfg.max_crashes = crashes;
+          cfg.no_fanout = no_fanout;
+          const auto verdict = explore(SeqlockModel(cfg));
+          EXPECT_EQ(verdict.kind, VerdictKind::kOk)
+              << "g=" << g << " rounds=" << rounds << " crashes=" << crashes
+              << " no_fanout=" << no_fanout << ": " << verdict.detail;
+        }
       }
     }
   }
