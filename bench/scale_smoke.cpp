@@ -11,6 +11,12 @@
 //      paper's Table I (core::kernel_table), each validated bit-exact on its
 //      defined result segments.
 //
+// During stage 1 a sampler thread reads /proc/self/status `Threads:` every
+// millisecond. The run fails (exit 3) when the count exceeds the event
+// pool's worker target + 2 (the main thread and the sampler): work stealing
+// and idle workers must never grow the thread count. The observed peak goes
+// into the JSON.
+//
 // Wall-clock milliseconds land in a JSON document (--out) and, when
 // --trace-out is given, the p=4096 run's per-rank step spans are written as
 // Chrome trace-event JSON — the artifact the CI leg uploads. A hard
@@ -20,11 +26,15 @@
 // Usage: scale_smoke [--quick] [--out PATH] [--trace-out PATH]
 //   --quick  smaller worlds (p=1024 / p=128) for local smoke runs
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/gencoll.hpp"
@@ -32,6 +42,7 @@
 #include "core/registry.hpp"
 #include "obs/exporters.hpp"
 #include "obs/recorder.hpp"
+#include "runtime/event_pool.hpp"
 
 namespace {
 
@@ -71,6 +82,42 @@ bool outputs_exact(const CollParams& params,
   return true;
 }
 
+/// This process's thread count from /proc/self/status, or -1 off Linux.
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+/// Samples thread_count() every millisecond while alive; peak() includes
+/// the sampler thread itself.
+class ThreadSampler {
+ public:
+  ThreadSampler() : thread_([this] { loop(); }) {}
+  ~ThreadSampler() { stop(); }
+  ThreadSampler(const ThreadSampler&) = delete;
+  ThreadSampler& operator=(const ThreadSampler&) = delete;
+  void stop() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+  [[nodiscard]] int peak() const { return peak_.load(); }
+
+ private:
+  void loop() {
+    do {
+      peak_.store(std::max(peak_.load(), thread_count()));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } while (!stop_.load());
+  }
+  std::atomic<bool> stop_{false};
+  std::atomic<int> peak_{-1};
+  std::thread thread_;
+};
+
 struct StageResult {
   std::string name;
   int p = 0;
@@ -102,6 +149,8 @@ int main(int argc, char** argv) {
   world.executor = gencoll::runtime::ExecutorKind::kEvent;
 
   std::vector<StageResult> stages;
+  const int thread_ceiling = gencoll::runtime::EventPool::default_workers() + 2;
+  int threads_peak = -1;
 
   // ---- stage 1: big-p allreduce through the public api -------------------
   {
@@ -128,6 +177,7 @@ int main(int argc, char** argv) {
     gencoll::obs::TraceRecorder recorder(p);
     gencoll::obs::TraceSink* sink = trace_out.empty() ? nullptr : &recorder;
 
+    ThreadSampler sampler;
     const double t0 = now_ms();
     const auto got = gencoll::run_collective(
         spec,
@@ -138,6 +188,8 @@ int main(int argc, char** argv) {
         },
         world, sink);
     const double ms = now_ms() - t0;
+    sampler.stop();
+    threads_peak = sampler.peak();
 
     const std::string name =
         "allreduce_recursive_multiplying_k2_p" + std::to_string(p);
@@ -147,7 +199,14 @@ int main(int argc, char** argv) {
     if (!outputs_exact(params, got, want, name)) return 2;
     stages.push_back({name, p, ms});
     std::printf("%-55s p=%-5d %10.1f ms\n", name.c_str(), p, ms);
+    std::printf("# threads: peak %d, ceiling %d (workers + main + sampler)\n",
+                threads_peak, thread_ceiling);
     std::fflush(stdout);
+    if (threads_peak > thread_ceiling) {
+      std::fprintf(stderr, "FATAL: %s: %d threads, ceiling %d\n", name.c_str(),
+                   threads_peak, thread_ceiling);
+      return 3;
+    }
 
     if (sink != nullptr) {
       std::ofstream trace(trace_out);
@@ -210,8 +269,13 @@ int main(int argc, char** argv) {
   }
 
   // ---- JSON summary ------------------------------------------------------
-  std::string doc = "{\n  \"schema\": 1,\n  \"executor\": \"event\",\n  \"stages\": [\n";
   char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\n  \"schema\": 1,\n  \"executor\": \"event\",\n"
+                "  \"threads_peak\": %d,\n  \"thread_ceiling\": %d,\n"
+                "  \"stages\": [\n",
+                threads_peak, thread_ceiling);
+  std::string doc = buf;
   for (std::size_t i = 0; i < stages.size(); ++i) {
     std::snprintf(buf, sizeof(buf),
                   "    {\"name\": \"%s\", \"p\": %d, \"ms\": %.1f}%s\n",

@@ -480,6 +480,23 @@ void emit_shm_step(obs::TraceSink* sink, const Schedule& sched, int rank,
   sink->span(ev);
 }
 
+/// Emit the steps [first, last) of one shared-segment phase. The phase runs
+/// its steps as one unit, so they split its window [begin_us, end_us) into
+/// equal consecutive slices: the spans tile the window, and per-step span
+/// sums count the phase's time once.
+void emit_shm_phase(obs::TraceSink* sink, const Schedule& sched, int rank,
+                    int group, std::size_t first, std::size_t last,
+                    double begin_us, double end_us) {
+  if (sink == nullptr || last <= first) return;
+  const double slice = (end_us - begin_us) / static_cast<double>(last - first);
+  const auto at = [&](std::size_t k) {
+    return k == last ? end_us : begin_us + slice * static_cast<double>(k - first);
+  };
+  for (std::size_t idx = first; idx < last; ++idx) {
+    emit_shm_step(sink, sched, rank, group, idx, at(idx), at(idx + 1));
+  }
+}
+
 /// Shared-memory (ShmTree) execution of the intra phases, for every group
 /// shape: a level vector, or the one-level tree {g} when the vector is
 /// empty. The composed flat program stays the source of truth for spans;
@@ -570,9 +587,7 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
       std::memcpy(output.data(), input.data(), n);
     }
     const double a_end = now();
-    for (std::size_t idx = 0; idx < intra_end; ++idx) {
-      emit_shm_step(sink, sched, rank, group, idx, a_begin, a_end);
-    }
+    emit_shm_phase(sink, sched, rank, group, 0, intra_end, a_begin, a_end);
     execute_step_range(sched, comm, input, output, type, op, sink, tuning,
                        intra_end, leader_end);
     return;  // no fan-out: [leader_end, end) is empty for a singleton
@@ -736,9 +751,7 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
       throw std::logic_error("execute_tree_hier: unsupported op in schedule");
   }
   const double a_end = now();
-  for (std::size_t idx = 0; idx < intra_end; ++idx) {
-    emit_shm_step(sink, sched, rank, group, idx, a_begin, a_end);
-  }
+  emit_shm_phase(sink, sched, rank, group, 0, intra_end, a_begin, a_end);
 
   // ---- phase B: leader-level kernel over the mailbox --------------------
   execute_step_range(sched, comm, input, output, type, op, sink, tuning,
@@ -786,9 +799,8 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
   }
   tree.bump_done(rel, sl::commit_target(dbase, quantum));
   const double c_end = now();
-  for (std::size_t idx = leader_end; idx < my_steps.size(); ++idx) {
-    emit_shm_step(sink, sched, rank, group, idx, c_begin, c_end);
-  }
+  emit_shm_phase(sink, sched, rank, group, leader_end, my_steps.size(),
+                 c_begin, c_end);
 }
 
 }  // namespace

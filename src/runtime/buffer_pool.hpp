@@ -18,9 +18,15 @@
 //     single giant transfer cannot pin its footprint forever.
 //   * Thread safety: buffers are acquired on the sending rank's thread and
 //     released on the receiving rank's thread (cross-thread handoff is the
-//     common case). Freelists are guarded by one mutex per size class;
-//     statistics counters are atomics so readers (bench gate, tests, TSan
-//     legs) never race the hot path.
+//     common case). Each size class is split into kShards freelists, each
+//     with its own mutex; a thread keeps to one shard (assigned round-robin
+//     on its first use of any pool). release() files storage in the
+//     caller's shard; acquire() takes from its own shard, then from the
+//     others, and allocates only when every shard of the class is empty, so
+//     the allocation count and the footprint stay those of one freelist
+//     while concurrent ranks rarely share a lock. Statistics counters are
+//     per-shard atomics summed by stats(), so readers (bench gate, tests,
+//     TSan legs) never race the hot path and ranks share no counter line.
 //   * PoolBuffer is the RAII handle: vector-like surface, movable,
 //     releases its storage back to the pool on destruction. A PoolBuffer
 //     can also adopt a plain vector (pool_ == nullptr), which keeps the
@@ -156,20 +162,33 @@ class BufferPool {
   static std::size_t class_index(std::size_t capacity);
 
   static constexpr std::size_t kClassCount = 17;  // 256 B .. 16 MiB
+  /// Freelist shards per size class (twice the reference machine's cores,
+  /// so the ranks of a 4-core run each get their own).
+  static constexpr std::size_t kShards = 8;
 
-  struct ShardedFreelist {
+  struct Freelist {
     mutable std::mutex mu;
     std::vector<std::vector<std::byte>> buffers;
+    /// buffers.size(), readable without mu so acquire() skips empty shards.
+    std::atomic<std::size_t> count{0};
   };
-  ShardedFreelist classes_[kClassCount];
+  struct alignas(64) Shard {
+    Freelist classes[kClassCount];
+    std::atomic<std::uint64_t> acquires{0};
+    std::atomic<std::uint64_t> allocations{0};
+    std::atomic<std::uint64_t> recycles{0};
+    std::atomic<std::uint64_t> oversize{0};
+    std::atomic<std::uint64_t> releases{0};
+    std::atomic<std::uint64_t> detached{0};
+    /// Signed: a buffer acquired on one shard is often released on another.
+    std::atomic<std::int64_t> outstanding{0};
+  };
+  /// The calling thread's shard.
+  Shard& my_shard();
+  /// Pop one buffer from `list`, or an empty vector.
+  static std::vector<std::byte> take_from(Freelist& list);
 
-  std::atomic<std::uint64_t> acquires_{0};
-  std::atomic<std::uint64_t> allocations_{0};
-  std::atomic<std::uint64_t> recycles_{0};
-  std::atomic<std::uint64_t> oversize_{0};
-  std::atomic<std::uint64_t> releases_{0};
-  std::atomic<std::uint64_t> detached_{0};
-  std::atomic<std::uint64_t> outstanding_{0};
+  Shard shards_[kShards];
   std::atomic<bool> bypass_{false};
 };
 

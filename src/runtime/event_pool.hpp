@@ -11,8 +11,9 @@
 // expires. ~hardware_concurrency workers therefore multiplex thousands of
 // rank tasks.
 //
-// Task states (all transitions under the pool mutex, so TSan sees plain
-// happens-before edges — no lock-free subtlety):
+// Task states (one atomic per task; every transition is an atomic RMW or a
+// store by the task's current owner, so wake() and the worker that runs the
+// task share no lock):
 //
 //   kIdle ──wake()──▶ kQueued ──worker pops──▶ kRunning ──step() parks──▶ kIdle
 //                                                │   ▲
@@ -20,11 +21,28 @@
 //                                                ▼
 //                                        kRunningNotified ── park attempt ─▶ kQueued
 //
-// The kRunningNotified leg closes the lost-wakeup race: a message that lands
-// between a task's final empty poll and its park re-queues the task instead
-// of being missed. Timer entries are lazily stale — waking a task leaves its
-// old deadline in the heap, and an expired stale entry just causes a
-// harmless spurious wake (the task re-polls and re-parks).
+// wake() CASes kIdle→kQueued (and enqueues) or kRunning→kRunningNotified
+// (and does not). A park CASes kRunning→kIdle; when that fails the task was
+// notified mid-step and is re-queued instead — the leg that closes the
+// lost-wakeup race between a task's final empty poll and its park. Every
+// wake is a release RMW (a queued or notified task gets its state re-stored)
+// and every run starts with an acquire exchange, so what a waker published
+// before waking is visible to the run that follows it.
+//
+// Run queues: each worker owns a FIFO. A task woken on a worker thread goes
+// to that worker's queue (the receiver runs where its message was written);
+// other threads place tasks round-robin; a worker whose queue is empty
+// steals the oldest task of another. A worker sleeps on the condvar only
+// after announcing itself in sleepers_ and re-checking every queue, and an
+// enqueue notifies only when sleepers_ is non-zero; both sides use seq_cst,
+// so either the sleeper sees the task or the enqueuer sees the sleeper.
+//
+// Timers: each task records its earliest live timer entry, and a park
+// pushes a heap entry only when its wake_at is earlier. A receive deadline
+// therefore costs one heap entry per wait, not one per park. An entry that
+// fires wakes its task only if it is still that task's earliest entry;
+// later ones are stale and are dropped. An early fire is a harmless
+// spurious wake (the task re-polls and re-parks, pushing its new deadline).
 //
 // Managed blocking: control-plane waits whose duration depends on *peers*
 // (barrier, survivor agreement, commit rendezvous, shm seqlock waits) cannot
@@ -37,8 +55,10 @@
 // p); steady-state collectives never block and stay at ~target threads.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -86,7 +106,27 @@ class EventPool {
    private:
     friend class EventPool;
     enum class State { kIdle, kQueued, kRunning, kRunningNotified, kDone };
-    State state_ = State::kIdle;  // guarded by the owning pool's mutex
+    std::atomic<State> state_{State::kIdle};
+    /// when of this task's earliest live timer entry (steady_clock ticks;
+    /// max = none). Written under the pool's timer mutex.
+    std::atomic<std::chrono::steady_clock::rep> timer_at_{
+        std::chrono::steady_clock::time_point::max().time_since_epoch().count()};
+  };
+
+  /// Always-on activity counters, summed over workers on read (relaxed, so
+  /// exact only once the pool is quiescent). Once every task is done:
+  /// steps == completions + yields + parks, completions == tasks submitted,
+  /// and wake_enqueues == parks (each park ends in exactly one re-queue).
+  struct Counters {
+    std::uint64_t steps = 0;          ///< step() calls
+    std::uint64_t completions = 0;    ///< steps that returned kDone
+    std::uint64_t yields = 0;         ///< steps that returned kYield
+    std::uint64_t parks = 0;          ///< steps that returned kPark
+    std::uint64_t wake_enqueues = 0;  ///< parked tasks re-queued (wake, timer, notified park)
+    std::uint64_t steals = 0;         ///< tasks a worker took from another's queue
+    std::uint64_t sleeps = 0;         ///< condvar waits of idle workers
+    std::uint64_t timer_pushes = 0;   ///< timer heap entries pushed
+    std::uint64_t compensation_spawns = 0;  ///< workers added by block_begin()
   };
 
   /// `workers` <= 0 resolves the default (GENCOLL_EVENT_WORKERS, else
@@ -97,7 +137,8 @@ class EventPool {
   EventPool& operator=(const EventPool&) = delete;
 
   /// Register `task` and queue it for its first step. The task must outlive
-  /// the pool (or at least every wake() that could still reference it).
+  /// the pool (or at least every wake() that could still reference it), and
+  /// must not be woken before it is submitted.
   void submit(Task* task);
 
   /// Re-queue a parked task; safe from any thread, any task state (waking a
@@ -124,28 +165,64 @@ class EventPool {
   /// GENCOLL_EVENT_WORKERS > std::thread::hardware_concurrency() > 4.
   static int default_workers();
 
+  [[nodiscard]] Counters counters() const;
+
  private:
+  using Clock = std::chrono::steady_clock;
+  static constexpr Clock::rep kNoTimer = Clock::time_point::max().time_since_epoch().count();
+
   struct TimerEntry {
-    std::chrono::steady_clock::time_point when;
+    Clock::rep when;
     Task* task;
     bool operator>(const TimerEntry& o) const { return when > o.when; }
   };
+  /// One worker's FIFO. `size` mirrors tasks.size() so sleepers and
+  /// stealers can skip an empty queue without taking its lock.
+  struct alignas(64) RunQueue {
+    std::mutex mu;
+    std::deque<Task*> tasks;
+    std::atomic<std::size_t> size{0};
+  };
+  /// Per-thread counter slot: one per worker index, plus a shared slot for
+  /// compensation workers and non-worker threads.
+  struct alignas(64) CounterSlot {
+    std::atomic<std::uint64_t> steps{0}, completions{0}, yields{0}, parks{0},
+        wake_enqueues{0}, steals{0}, sleeps{0}, timer_pushes{0},
+        compensation_spawns{0};
+  };
 
-  void worker_loop();
-  void wake_locked(Task* task);
-  void spawn_worker_locked();
+  void worker_loop(int index);
+  void enqueue(Task* task);
+  Task* pop(int index);
+  void sleep();
+  bool any_queued() const;
+  void fire_due_timers();
+  void push_timer(Task* task, Clock::time_point wake_at);
+  void spawn_worker_locked(int index);
+  CounterSlot& slot();
 
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< workers wait for ready tasks / timers
-  std::condition_variable done_cv_;  ///< wait_all() waits for live_tasks_ == 0
-  std::deque<Task*> ready_;
+  std::vector<RunQueue> queues_;      ///< one per target worker, never resized
+  std::vector<CounterSlot> slots_;    ///< target_ + 1
+  std::atomic<unsigned> next_queue_{0};  ///< round-robin for non-worker enqueues
+
+  std::mutex sleep_mu_;
+  std::condition_variable work_cv_;   ///< idle workers wait for tasks / timers
+  std::atomic<int> sleepers_{0};
+
+  std::mutex timer_mu_;
   std::priority_queue<TimerEntry, std::vector<TimerEntry>, std::greater<>>
-      timers_;
+      timers_;                        ///< guarded by timer_mu_
+  std::atomic<Clock::rep> next_timer_{kNoTimer};  ///< heap top, or kNoTimer
+
+  std::atomic<int> live_tasks_{0};
+  std::mutex done_mu_;
+  std::condition_variable done_cv_;   ///< wait_all() waits for live_tasks_ == 0
+
+  mutable std::mutex spawn_mu_;       ///< workers_, blocked_
   std::vector<std::thread> workers_;
-  int target_;
-  int live_tasks_ = 0;
   int blocked_ = 0;
-  bool stop_ = false;
+  int target_;
+  std::atomic<bool> stop_{false};
 };
 
 /// RAII wrapper for a peer-dependent blocking wait on (possibly) a pool

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -524,6 +525,46 @@ TEST(Hierarchy, SpansCarryGroupAndLinkClass) {
   EXPECT_GT(m.messages_intra, 0u);
   EXPECT_GT(m.messages_inter, 0u);
   EXPECT_EQ(m.messages, m.messages_intra + m.messages_inter);
+}
+
+TEST(Hierarchy, ShmPhaseSpansTileTheirWindow) {
+  // A phase over the shared segment runs its steps as one unit; its spans
+  // must split the phase window, not each repeat it. The p=4 leader has
+  // three receive steps in phase A: repeating the window would make them
+  // overlap and count it three times.
+  const int p = 4;
+  const CollParams params = params_of(CollOp::kAllreduce, p, 64);
+  const Schedule sched = build_hierarchical_schedule(spec_of(4), params);
+  ASSERT_TRUE(sched.hier && sched.hier->intra_shm);
+  const auto inputs = make_inputs(params, DataType::kInt32, 9);
+
+  obs::TraceRecorder rec(p);
+  const double t0 = obs::wallclock_us();
+  execute_threaded(sched, inputs, DataType::kInt32, ReduceOp::kSum, &rec);
+  const double call_us = obs::wallclock_us() - t0;
+
+  for (int r = 0; r < p; ++r) {
+    std::vector<obs::SpanEvent> spans = rec.spans(r);
+    ASSERT_FALSE(spans.empty()) << "rank " << r;
+    std::sort(spans.begin(), spans.end(),
+              [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
+                return a.begin_us < b.begin_us;
+              });
+    double sum = 0.0;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      EXPECT_EQ(spans[i].group, 0);
+      EXPECT_LE(spans[i].begin_us, spans[i].end_us);
+      sum += spans[i].end_us - spans[i].begin_us;
+      if (i > 0) {
+        EXPECT_GE(spans[i].begin_us, spans[i - 1].end_us)
+            << "rank " << r << " steps " << spans[i - 1].step << " and "
+            << spans[i].step << " overlap";
+      }
+    }
+    EXPECT_LE(sum, spans.back().end_us - spans.front().begin_us + 1e-6)
+        << "rank " << r;
+    EXPECT_LE(sum, call_us) << "rank " << r;
+  }
 }
 
 }  // namespace

@@ -214,6 +214,103 @@ TEST(EventPool, BlockingGuardIsANoOpOffThePool) {
   SUCCEED();
 }
 
+/// One half of a ping-pong pair: steps only on its turn, hands the turn to
+/// its peer and wakes it; off turn it parks (no deadline), so only the
+/// peer's wake can run it again. Every other hit yields instead of
+/// returning, so the run mixes all three step outcomes.
+class PingPongTask final : public EventPool::Task {
+ public:
+  PingPongTask(EventPool* pool, std::atomic<int>* turn, int me, int rounds)
+      : pool_(pool), turn_(turn), me_(me), rounds_(rounds) {}
+  void set_peer(PingPongTask* peer) { peer_ = peer; }
+
+  StepResult step() override {
+    if (turn_->load(std::memory_order_acquire) != me_) return {Status::kPark, kNever};
+    ++hits_;
+    turn_->store(1 - me_, std::memory_order_release);
+    pool_->wake(peer_);
+    if (hits_ == rounds_) return {Status::kDone, kNever};
+    return {hits_ % 2 == 0 ? Status::kYield : Status::kPark, kNever};
+  }
+
+ private:
+  EventPool* pool_;
+  std::atomic<int>* turn_;
+  PingPongTask* peer_ = nullptr;
+  int me_;
+  int rounds_;
+  int hits_ = 0;
+};
+
+TEST(EventPool, CountersObeyTheirIdentitiesOnAPingPong) {
+  constexpr int kRounds = 500;
+  // Nobody's turn until both tasks are submitted: a task must not be woken
+  // before its submit.
+  std::atomic<int> turn{-1};
+  EventPool pool(2);
+  PingPongTask a(&pool, &turn, 0, kRounds);
+  PingPongTask b(&pool, &turn, 1, kRounds);
+  a.set_peer(&b);
+  b.set_peer(&a);
+  pool.submit(&a);
+  pool.submit(&b);
+  turn.store(0, std::memory_order_release);
+  pool.wake(&a);
+  pool.wait_all();
+
+  const EventPool::Counters c = pool.counters();
+  // Every step ends in exactly one of done, yield or park.
+  EXPECT_EQ(c.steps, c.completions + c.yields + c.parks);
+  EXPECT_EQ(c.completions, 2u);
+  // Every park ends in exactly one re-queue (a wake, or a notified park).
+  EXPECT_EQ(c.wake_enqueues, c.parks);
+  EXPECT_GE(c.steps, 2u * kRounds);
+  EXPECT_GT(c.yields, 0u);
+  EXPECT_GT(c.parks, 0u);
+  EXPECT_EQ(c.timer_pushes, 0u);  // no step asked for a deadline
+  EXPECT_EQ(c.compensation_spawns, 0u);
+}
+
+/// Parks `parks` times with the same deadline, each time woken by a
+/// helper thread; completes on the step after that.
+class SameDeadlineTask final : public EventPool::Task {
+ public:
+  SameDeadlineTask(int parks, steady_clock::time_point deadline)
+      : parks_(parks), deadline_(deadline) {}
+  StepResult step() override {
+    if (steps_.fetch_add(1) < parks_) return {Status::kPark, deadline_};
+    return {Status::kDone, kNever};
+  }
+  std::atomic<int> steps_{0};
+
+ private:
+  int parks_;
+  steady_clock::time_point deadline_;
+};
+
+TEST(EventPool, ARepeatedDeadlinePushesOneTimerEntry) {
+  // A receive that parks many times keeps its deadline; only the first park
+  // needs a heap entry, the rest are covered by it.
+  constexpr int kParks = 5;
+  EventPool pool(2);
+  SameDeadlineTask task(kParks, steady_clock::now() + std::chrono::seconds(60));
+  pool.submit(&task);
+  std::atomic<bool> done{false};
+  std::thread waker([&] {
+    while (!done.load()) {
+      pool.wake(&task);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  pool.wait_all();
+  done.store(true);
+  waker.join();
+  const EventPool::Counters c = pool.counters();
+  EXPECT_EQ(task.steps_.load(), kParks + 1);
+  EXPECT_EQ(c.parks, static_cast<std::uint64_t>(kParks));
+  EXPECT_EQ(c.timer_pushes, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Executor selection: explicit option > GENCOLL_EXECUTOR > kThreaded.
 // ---------------------------------------------------------------------------
