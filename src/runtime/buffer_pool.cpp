@@ -21,9 +21,8 @@ void PoolBuffer::release() noexcept {
 
 std::vector<std::byte> PoolBuffer::take() && {
   if (pool_ != nullptr) {
-    BufferPool::Shard& sh = pool_->my_shard();
-    sh.detached.fetch_add(1, std::memory_order_relaxed);
-    sh.outstanding.fetch_sub(1, std::memory_order_relaxed);
+    pool_->detached_.fetch_add(1, std::memory_order_relaxed);
+    pool_->outstanding_.fetch_sub(1, std::memory_order_relaxed);
     pool_ = nullptr;
   }
   return std::move(storage_);
@@ -63,28 +62,28 @@ std::vector<std::byte> BufferPool::take_from(Freelist& list) {
 }
 
 PoolBuffer BufferPool::acquire(std::size_t bytes) {
-  Shard& mine = my_shard();
-  mine.acquires.fetch_add(1, std::memory_order_relaxed);
-  mine.outstanding.fetch_add(1, std::memory_order_relaxed);
+  acquires_.fetch_add(1, std::memory_order_relaxed);
+  outstanding_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t cls = size_class(bytes);
   if (cls <= kMaxPooledBytes && !bypass()) {
     const std::size_t ci = class_index(cls);
-    const std::size_t first = static_cast<std::size_t>(&mine - shards_);
+    const std::size_t first = static_cast<std::size_t>(&my_shard() - shards_);
     // Own shard first, then the others: a buffer cached anywhere is reused
-    // before the heap is asked for a new one.
+    // before the heap is asked for a new one (one shard at a time, so a
+    // concurrent scan can still miss; see the header).
     for (std::size_t k = 0; k < kShards; ++k) {
       std::vector<std::byte> storage =
           take_from(shards_[(first + k) % kShards].classes[ci]);
       if (storage.capacity() >= bytes) {
-        mine.recycles.fetch_add(1, std::memory_order_relaxed);
+        recycles_.fetch_add(1, std::memory_order_relaxed);
         storage.resize(bytes);
         return PoolBuffer(std::move(storage), this);
       }
     }
   } else if (cls > kMaxPooledBytes) {
-    mine.oversize.fetch_add(1, std::memory_order_relaxed);
+    oversize_.fetch_add(1, std::memory_order_relaxed);
   }
-  mine.allocations.fetch_add(1, std::memory_order_relaxed);
+  allocations_.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::byte> storage;
   storage.reserve(cls);
   storage.resize(bytes);
@@ -92,14 +91,13 @@ PoolBuffer BufferPool::acquire(std::size_t bytes) {
 }
 
 void BufferPool::release(std::vector<std::byte> storage) noexcept {
-  Shard& mine = my_shard();
-  mine.releases.fetch_add(1, std::memory_order_relaxed);
-  mine.outstanding.fetch_sub(1, std::memory_order_relaxed);
+  releases_.fetch_add(1, std::memory_order_relaxed);
+  outstanding_.fetch_sub(1, std::memory_order_relaxed);
   const std::size_t cap = storage.capacity();
   if (bypass() || cap < kMinClassBytes || cap > kMaxPooledBytes) {
     return;  // freed by the vector destructor
   }
-  Freelist& list = mine.classes[class_index(cap)];
+  Freelist& list = my_shard().classes[class_index(cap)];
   std::lock_guard<std::mutex> lock(list.mu);
   list.buffers.push_back(std::move(storage));
   list.count.store(list.buffers.size(), std::memory_order_relaxed);
@@ -107,22 +105,20 @@ void BufferPool::release(std::vector<std::byte> storage) noexcept {
 
 BufferPoolStats BufferPool::stats() const {
   BufferPoolStats s;
-  std::int64_t outstanding = 0;
+  s.acquires = acquires_.load(std::memory_order_relaxed);
+  s.allocations = allocations_.load(std::memory_order_relaxed);
+  s.recycles = recycles_.load(std::memory_order_relaxed);
+  s.oversize = oversize_.load(std::memory_order_relaxed);
+  s.releases = releases_.load(std::memory_order_relaxed);
+  s.detached = detached_.load(std::memory_order_relaxed);
+  s.outstanding = outstanding_.load(std::memory_order_relaxed);
   for (const Shard& sh : shards_) {
-    s.acquires += sh.acquires.load(std::memory_order_relaxed);
-    s.allocations += sh.allocations.load(std::memory_order_relaxed);
-    s.recycles += sh.recycles.load(std::memory_order_relaxed);
-    s.oversize += sh.oversize.load(std::memory_order_relaxed);
-    s.releases += sh.releases.load(std::memory_order_relaxed);
-    s.detached += sh.detached.load(std::memory_order_relaxed);
-    outstanding += sh.outstanding.load(std::memory_order_relaxed);
     for (const Freelist& list : sh.classes) {
       std::lock_guard<std::mutex> lock(list.mu);
       s.cached_buffers += list.buffers.size();
       for (const auto& b : list.buffers) s.cached_bytes += b.capacity();
     }
   }
-  s.outstanding = static_cast<std::uint64_t>(std::max<std::int64_t>(0, outstanding));
   return s;
 }
 

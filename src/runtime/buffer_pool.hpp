@@ -22,11 +22,14 @@
 //     with its own mutex; a thread keeps to one shard (assigned round-robin
 //     on its first use of any pool). release() files storage in the
 //     caller's shard; acquire() takes from its own shard, then from the
-//     others, and allocates only when every shard of the class is empty, so
-//     the allocation count and the footprint stay those of one freelist
-//     while concurrent ranks rarely share a lock. Statistics counters are
-//     per-shard atomics summed by stats(), so readers (bench gate, tests,
-//     TSan legs) never race the hot path and ranks share no counter line.
+//     others, one lock at a time, and allocates only when that scan found
+//     nothing. Concurrent ranks therefore rarely share a lock, but the scan
+//     is not atomic: under concurrency it can miss a buffer that moves into
+//     a shard it already passed, or read a stale empty count, and allocate
+//     while a buffer is cached. Quiescent, the allocation count is that of
+//     one freelist; under load the footprint exceeds it only by such misses.
+//     Statistics counters are pool-wide atomics so readers (bench gate,
+//     tests, TSan legs) never race the hot path.
 //   * PoolBuffer is the RAII handle: vector-like surface, movable,
 //     releases its storage back to the pool on destruction. A PoolBuffer
 //     can also adopt a plain vector (pool_ == nullptr), which keeps the
@@ -174,14 +177,6 @@ class BufferPool {
   };
   struct alignas(64) Shard {
     Freelist classes[kClassCount];
-    std::atomic<std::uint64_t> acquires{0};
-    std::atomic<std::uint64_t> allocations{0};
-    std::atomic<std::uint64_t> recycles{0};
-    std::atomic<std::uint64_t> oversize{0};
-    std::atomic<std::uint64_t> releases{0};
-    std::atomic<std::uint64_t> detached{0};
-    /// Signed: a buffer acquired on one shard is often released on another.
-    std::atomic<std::int64_t> outstanding{0};
   };
   /// The calling thread's shard.
   Shard& my_shard();
@@ -189,6 +184,14 @@ class BufferPool {
   static std::vector<std::byte> take_from(Freelist& list);
 
   Shard shards_[kShards];
+
+  std::atomic<std::uint64_t> acquires_{0};
+  std::atomic<std::uint64_t> allocations_{0};
+  std::atomic<std::uint64_t> recycles_{0};
+  std::atomic<std::uint64_t> oversize_{0};
+  std::atomic<std::uint64_t> releases_{0};
+  std::atomic<std::uint64_t> detached_{0};
+  std::atomic<std::uint64_t> outstanding_{0};
   std::atomic<bool> bypass_{false};
 };
 

@@ -2,10 +2,11 @@
 // built into test_runtime so the sanitizer legs (TSan included) run them:
 //
 //   * EventPool: hundreds of tasks that park, yield and complete on four
-//     workers while outside threads issue wake storms, plus single wakes
-//     timed to race the last worker going to sleep. A lost wake-up leaves a
-//     task parked with work pending; each test waits with its own deadline
-//     (well inside the binary's ctest TIMEOUT) and fails instead of hanging.
+//     workers while outside threads issue wake storms, plus single wakes,
+//     one per consumed event, timed to race the last worker going to sleep.
+//     A lost wake-up leaves a task parked with work pending; each test waits
+//     with its own deadline (well inside the binary's ctest TIMEOUT) and
+//     fails instead of hanging.
 //   * BufferPool: buffers acquired on one thread and released on another,
 //     so storage crosses freelist shards; the statistics must stay exact.
 #include <gtest/gtest.h>
@@ -31,11 +32,17 @@ constexpr auto kBudget = std::chrono::seconds(60);
 
 /// Consumes events posted to it by outside threads: each step takes what
 /// is pending, then completes once `target` events were consumed, else
-/// yields (every third step) or parks — sometimes with a short deadline, so
-/// timer wakes mix with explicit ones.
+/// yields (every third step) or parks. With `timed_parks`, about one park in
+/// five carries a 1 ms deadline so timer wakes mix with explicit ones; that
+/// timer also rescues a lost wake-up, so a test that must see every lost
+/// wake parks without one. With `max_work_ns` > 0, each step spins a
+/// varying time below it after taking its events, so a post that follows
+/// the consumption lands anywhere from mid-step to after the park.
 class ConsumerTask final : public EventPool::Task {
  public:
-  ConsumerTask(int id, int target) : id_(id), target_(target) {}
+  ConsumerTask(int id, int target, bool timed_parks, int max_work_ns = 0)
+      : id_(id), target_(target), timed_parks_(timed_parks),
+        max_work_ns_(max_work_ns) {}
 
   /// Producer side: one more event, then the wake-up.
   void post(EventPool& pool) {
@@ -44,14 +51,22 @@ class ConsumerTask final : public EventPool::Task {
   }
 
   StepResult step() override {
-    consumed_ += pending_.exchange(0, std::memory_order_acq_rel);
+    const int consumed = consumed_.load(std::memory_order_relaxed) +
+                         pending_.exchange(0, std::memory_order_acq_rel);
+    consumed_.store(consumed, std::memory_order_release);
     ++steps_;
-    if (consumed_ >= target_) {
+    if (max_work_ns_ > 0) {
+      const auto until = steady_clock::now() +
+                         std::chrono::nanoseconds((steps_ * 7919) % max_work_ns_);
+      while (steady_clock::now() < until) {
+      }
+    }
+    if (consumed >= target_) {
       finished_.store(true, std::memory_order_release);
       return {Status::kDone, kNever};
     }
     if (steps_ % 3 == 0) return {Status::kYield, kNever};
-    if ((steps_ + id_) % 5 == 0) {
+    if (timed_parks_ && (steps_ + id_) % 5 == 0) {
       return {Status::kPark, steady_clock::now() + milliseconds(1)};
     }
     return {Status::kPark, kNever};
@@ -60,13 +75,18 @@ class ConsumerTask final : public EventPool::Task {
   [[nodiscard]] bool finished() const {
     return finished_.load(std::memory_order_acquire);
   }
+  [[nodiscard]] int consumed() const {
+    return consumed_.load(std::memory_order_acquire);
+  }
 
  private:
   std::atomic<int> pending_{0};
+  std::atomic<int> consumed_{0};
   std::atomic<bool> finished_{false};
   int id_;
   int target_;
-  int consumed_ = 0;
+  bool timed_parks_;
+  int max_work_ns_;
   int steps_ = 0;
 };
 
@@ -82,6 +102,10 @@ bool await_all(const std::vector<std::unique_ptr<ConsumerTask>>& tasks) {
   return true;
 }
 
+// Detects a lost wake-up only when it strands a task's last events: any
+// later post wakes a worker, which then runs whatever is queued, and the
+// 1 ms timer parks rescue a task too. The single-wake test below checks
+// every wake.
 TEST(EventPoolStress, WakeStormsFromOutsideThreadsLoseNoWakeup) {
   constexpr int kTasks = 400;
   constexpr int kProducers = 3;
@@ -89,7 +113,8 @@ TEST(EventPoolStress, WakeStormsFromOutsideThreadsLoseNoWakeup) {
   std::vector<std::unique_ptr<ConsumerTask>> tasks;
   for (int i = 0; i < kTasks; ++i) {
     tasks.push_back(
-        std::make_unique<ConsumerTask>(i, kProducers * kEventsPerProducer));
+        std::make_unique<ConsumerTask>(i, kProducers * kEventsPerProducer,
+                                       /*timed_parks=*/true));
   }
   {
     EventPool pool(4);
@@ -117,27 +142,62 @@ TEST(EventPoolStress, WakeStormsFromOutsideThreadsLoseNoWakeup) {
   }
 }
 
-TEST(EventPoolStress, SingleWakesRaceTheLastWorkerGoingToSleep) {
-  // One task, many rounds: each round the task parks, the workers run out
-  // of work and head for sleep, and one wake arrives after a varying spin —
-  // before, during or after the last worker's announce/re-check.
+/// One task, many rounds, each a chance to see a lost wake-up: a round
+/// waits until the task has consumed the previous event, spins a varying
+/// time and posts one event. The task spins a varying time of its own
+/// before it parks (never with a deadline, and nothing else wakes it), so
+/// the wake lands mid-step, against the park, or as the last worker
+/// announces itself and re-checks the queues before sleeping. Two poster
+/// threads take alternate rounds: a woken worker often runs on the CPU of
+/// the thread that woke it, which then cannot watch the step; the other
+/// poster can.
+void race_single_wakes(int workers) {
   constexpr int kRounds = 3000;
   std::vector<std::unique_ptr<ConsumerTask>> one;
-  one.push_back(std::make_unique<ConsumerTask>(0, kRounds));
+  one.push_back(std::make_unique<ConsumerTask>(0, kRounds, /*timed_parks=*/false,
+                                               /*max_work_ns=*/2000));
   ConsumerTask& task = *one.front();
   {
-    EventPool pool(4);
+    EventPool pool(workers);
     pool.submit(&task);
-    for (int round = 0; round < kRounds; ++round) {
-      const auto spin_until =
-          steady_clock::now() + std::chrono::nanoseconds((round * 7919) % 20000);
-      while (steady_clock::now() < spin_until) {
-      }
-      task.post(pool);
+    const auto deadline = steady_clock::now() + kBudget;
+    std::atomic<int> lost_round{-1};
+    std::vector<std::thread> posters;
+    for (int t = 0; t < 2; ++t) {
+      posters.emplace_back([&, t] {
+        for (int round = t; round < kRounds; round += 2) {
+          while (task.consumed() < round) {
+            if (lost_round.load() >= 0) return;
+            if (steady_clock::now() > deadline) {
+              lost_round.store(round);
+              return;
+            }
+            std::this_thread::yield();  // lets a worker sharing this CPU run
+          }
+          const auto spin_until =
+              steady_clock::now() + std::chrono::nanoseconds((round * 7919) % 5000);
+          while (steady_clock::now() < spin_until) {
+          }
+          task.post(pool);
+        }
+      });
     }
+    for (auto& th : posters) th.join();
+    ASSERT_EQ(lost_round.load(), -1)
+        << "event " << lost_round.load() << " was never consumed: lost wake-up";
     ASSERT_TRUE(await_all(one)) << "the last event was never consumed: lost wake-up";
     pool.wait_all();
     EXPECT_GT(pool.counters().sleeps, 0u);
+  }
+}
+
+TEST(EventPoolStress, SingleWakesRaceTheLastWorkerGoingToSleep) {
+  // With one worker every sleep is the last worker's; with four, the
+  // other sleepers usually absorb a wake the last one would lose.
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    race_single_wakes(workers);
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -174,8 +234,10 @@ TEST(BufferPoolShards, CrossThreadHandoffKeepsStatsExact) {
   EXPECT_EQ(s.acquires, s.recycles + s.allocations);
   EXPECT_EQ(s.releases, total);
   EXPECT_EQ(s.outstanding, 0u);
-  // Every allocated buffer sits in some shard's freelist now, and the
-  // shards never hold more than the peak demand of four producers.
+  // Every allocated buffer sits in some shard's freelist now. Peak demand
+  // is 32 buffers (8 per class); the bound leaves room for the rare
+  // allocation a concurrent, shard-by-shard scan makes while a buffer
+  // moves between shards.
   EXPECT_EQ(s.cached_buffers, s.allocations);
   EXPECT_LE(s.allocations, std::uint64_t{kPairs} * kInFlight * 4);
   EXPECT_GT(s.recycles, 0u);
