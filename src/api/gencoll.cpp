@@ -9,8 +9,6 @@
 
 #include "check/check.hpp"
 #include "service/bandit.hpp"
-#include "util/env.hpp"
-#include "util/logging.hpp"
 
 namespace gencoll {
 
@@ -22,37 +20,11 @@ double wallclock_us() {
       .count();
 }
 
-int env_group_size() {
-  // 0 and 1 both mean "flat"; anything malformed warns once (util/env) and
-  // falls back to disabled.
-  const auto g = util::env_int("GENCOLL_GROUP_SIZE", 0, 0, 1 << 20);
-  return g >= 2 ? static_cast<int>(g) : 0;
-}
-
-std::vector<int> env_hier_levels() {
-  // "2x4"-style intra-group level vector; a bare integer counts too (a
-  // single-level partitioned tree). Malformed or degenerate (product < 2)
-  // values warn and disable the knob rather than failing collectives.
-  const auto text = util::env_string("GENCOLL_HIER_LEVELS");
-  if (!text || text->empty()) return {};
-  const auto parsed = core::hier_parse_levels(*text);
-  const std::vector<int> canonical =
-      parsed ? core::hier_canonical_levels(*parsed) : std::vector<int>{};
-  if (canonical.empty()) {
-    GENCOLL_LOG(kWarn) << "GENCOLL_HIER_LEVELS='" << *text
-                       << "' is not a level vector (want e.g. 2x4); ignored";
-    return {};
-  }
-  return canonical;
-}
-
 }  // namespace
 
 Collectives::Collectives(runtime::Communicator& comm, tuning::SelectionConfig config)
     : comm_(comm),
       config_(std::move(config)),
-      env_group_size_(env_group_size()),
-      env_levels_(env_hier_levels()),
       cache_epoch_(comm.epoch()) {}
 
 tuning::AlgorithmChoice Collectives::resolve(CollOp op, std::size_t nbytes,
@@ -78,25 +50,18 @@ tuning::AlgorithmChoice Collectives::resolve(CollOp op, std::size_t nbytes,
   } else if (spec.group_size) {
     choice.group_size = *spec.group_size;
     choice.levels.clear();
-  } else if (choice.group_size <= 1 && !choice.flat_pinned) {
-    if (!env_levels_.empty()) {
-      choice.levels = env_levels_;
-      choice.group_size = core::hier_levels_product(env_levels_);
-    } else if (env_group_size_ > 1) {
-      choice.group_size = env_group_size_;
-    } else if (config_.ppn >= 2 && comm_.size() == config_.ppn &&
-               core::hier_supported_op(op) &&
-               nbytes < core::ExecTuning{}.pipeline_threshold &&
-               comm_.plain_transport()) {
-      // Co-located default: the World is one node of ppn ranks, so its
-      // traffic goes over shared memory in a single group. Multi-group
-      // Worlds keep the rule's flat kernel: nothing has measured the
-      // composed leader phase against it. The gate is on the call's total
-      // payload (for allgather, the whole output), with the zero-copy
-      // threshold as its bound: large calls keep the flat zero-copy path.
-      // Non-plain transports keep the mailbox.
-      choice.group_size = config_.ppn;
-    }
+  } else if (choice.group_size <= 1 && !choice.flat_pinned && config_.ppn >= 2 &&
+             comm_.size() == config_.ppn && core::hier_supported_op(op) &&
+             nbytes < core::ExecTuning{}.pipeline_threshold &&
+             comm_.plain_transport()) {
+    // Co-located default: the World is one node of ppn ranks, so its
+    // traffic goes over shared memory in a single group. Multi-group
+    // Worlds keep the rule's flat kernel: nothing has measured the
+    // composed leader phase against it. The gate is on the call's total
+    // payload (for allgather, the whole output), with the zero-copy
+    // threshold as its bound: large calls keep the flat zero-copy path.
+    // Non-plain transports keep the mailbox.
+    choice.group_size = config_.ppn;
   }
   return choice;
 }
@@ -158,7 +123,6 @@ const Collectives::CachedSchedule& Collectives::schedule_for(
                   choice.k,
                   choice.algorithm,
                   hier ? choice.group_size : 0,
-                  hier && choice.intra == tuning::HierIntra::kShm,
                   hier ? std::move(choice.levels) : std::vector<int>{}};
   auto it = cache_.find(key);
   if (it == cache_.end()) {
@@ -179,8 +143,7 @@ Collectives::CachedSchedule Collectives::build_entry(const ScheduleKey& key) {
   params.k = key.k;
   CachedSchedule entry;
   if (key.group_size > 1) {
-    const core::HierSpec hspec{key.group_size, key.algorithm, key.k,
-                               key.intra_shm, key.levels};
+    const core::HierSpec hspec{key.group_size, key.algorithm, key.k, key.levels};
     if (core::supports_hierarchical(hspec, params)) {
       entry.sched = core::build_hierarchical_schedule(hspec, params);
       return entry;

@@ -55,17 +55,15 @@ struct AlgSpec {
   std::optional<int> k;
   /// Hierarchical composition override: >1 groups ranks in blocks of this
   /// size and runs the algorithm over the ceil(p/group_size) leaders
-  /// (core/hierarchy.hpp); 1 forces the flat path even when the config,
-  /// GENCOLL_GROUP_SIZE or the co-located default (see Collectives) would go
-  /// hierarchical. Setting group_size without `levels` requests the flat
-  /// intra fan-in.
+  /// (core/hierarchy.hpp); 1 forces the flat path even when the config or
+  /// the co-located default (see Collectives) would go hierarchical. Setting
+  /// group_size without `levels` requests the flat intra fan-in.
   std::optional<int> group_size;
   /// Intra-group level vector override (core/hierarchy.hpp HierSpec::levels,
   /// e.g. {2, 4} = NUMA x core): non-empty selects the multi-level intra
   /// tree and implies its product as the group size; an explicit empty
-  /// vector forces the flat intra fan-in even when the config or
-  /// GENCOLL_HIER_LEVELS would pick a tree. Takes precedence over
-  /// group_size and both environment knobs.
+  /// vector forces the flat intra fan-in even when the config would pick a
+  /// tree. Takes precedence over group_size.
   std::optional<std::vector<int>> levels;
 };
 
@@ -74,14 +72,11 @@ class Collectives {
   /// Wrap a communicator. `config` follows the gencoll selection-file format
   /// (see tuning/selector.hpp); every rank must use an identical config.
   ///
-  /// The GENCOLL_GROUP_SIZE and GENCOLL_HIER_LEVELS environment variables
-  /// (read once, here) turn on hierarchical execution for every collective
-  /// the composition supports: rules without an explicit `hier` clause
-  /// behave as if they carried `hier $GENCOLL_GROUP_SIZE shm` (flat intra)
-  /// or `hier $GENCOLL_HIER_LEVELS shm` (multi-level intra tree, e.g.
-  /// "2x4"). GENCOLL_HIER_LEVELS wins over GENCOLL_GROUP_SIZE when both are
-  /// set; per-call AlgSpec::levels / AlgSpec::group_size and explicit config
-  /// clauses take precedence over both.
+  /// Hierarchical shape precedence: per-call AlgSpec::levels /
+  /// AlgSpec::group_size, then the matching rule's `hier` clause, then the
+  /// co-located default below. The shape is all a caller chooses: the
+  /// transport picks the intra route (shared segments on a plain World, the
+  /// composed program over the mailbox on a reliable or fault-injected one).
   ///
   /// Co-located default: when the config's `machine` line declares ppn >= 2,
   /// the communicator has exactly ppn ranks (one node) and nothing above
@@ -196,7 +191,7 @@ class Collectives {
 
   /// Opt-in online adaptive selection (service/bandit.hpp): subsequent
   /// collectives without a per-call override ask `selector` for the
-  /// (algorithm, k, g, intra) arm and feed the measured wall-clock latency
+  /// (algorithm, k, g) arm and feed the measured wall-clock latency
   /// back as the reward. The selector is shared — pass the same instance on
   /// every rank (it is internally locked); `tenant` keys this communicator's
   /// statistics (use the rank's job/tenant id, or leave 0). The config rules
@@ -221,7 +216,6 @@ class Collectives {
     int k;
     Algorithm algorithm;  ///< the flat kernel, or the inter-group one
     int group_size = 0;   ///< > 1: hierarchical composition requested
-    bool intra_shm = false;
     std::vector<int> levels;  ///< hierarchical intra level vector
     auto operator<=>(const ScheduleKey&) const = default;
   };
@@ -270,8 +264,6 @@ class Collectives {
   runtime::Communicator& comm_;
   tuning::SelectionConfig config_;
   obs::TraceSink* sink_ = nullptr;
-  int env_group_size_ = 0;  ///< GENCOLL_GROUP_SIZE; 0 = unset
-  std::vector<int> env_levels_;  ///< GENCOLL_HIER_LEVELS; empty = unset
   int cache_epoch_ = 0;     ///< membership epoch the cache was built under
   std::map<ScheduleKey, CachedSchedule> cache_;
   std::size_t zero_copy_rejections_ = 0;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/algorithms.hpp"
-#include "core/event_exec.hpp"
 #include "core/registry.hpp"
 #include "fault/error.hpp"
 #include "runtime/event_pool.hpp"
@@ -300,15 +299,6 @@ std::vector<std::vector<std::byte>> execute_threaded_elastic(
   // Engine dispatch: explicit option > GENCOLL_EXECUTOR > thread-per-rank.
   return run_elastic(runtime::resolve_executor(world_options.executor), params,
                      type, op, options, provider, world_options, reports);
-}
-
-std::vector<std::vector<std::byte>> execute_event_elastic(
-    const CollParams& params, runtime::DataType type, runtime::ReduceOp op,
-    const ElasticOptions& options, const InputProvider& provider,
-    const runtime::WorldOptions& world_options,
-    std::vector<ElasticReport>* reports) {
-  return run_elastic(runtime::ExecutorKind::kEvent, params, type, op, options,
-                     provider, world_options, reports);
 }
 
 }  // namespace gencoll::core

@@ -26,43 +26,12 @@
 // event). The shm-hierarchy fast path keeps its seqlock protocol and runs
 // whole under managed blocking.
 //
-// Selection: WorldOptions::executor = ExecutorKind::kEvent, or
-// GENCOLL_EXECUTOR=event — execute_threaded / execute_threaded_elastic
-// dispatch here. The two front ends below pin this engine; they are defined
-// beside their threaded counterparts, with which they share input checks
-// and output allocation.
+// Selection: WorldOptions::executor is the one switch. Set it to
+// ExecutorKind::kEvent, or leave it unset and set GENCOLL_EXECUTOR=event
+// (runtime::resolve_executor). execute_threaded, execute_threaded_elastic
+// and every Collectives call dispatch on it; this engine has no front end
+// of its own. Its task loop is exec_detail::run_ranks (core/executor.hpp),
+// defined in event_exec.cpp.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
-#include "core/elastic.hpp"
 #include "core/executor.hpp"
-#include "core/schedule.hpp"
-#include "runtime/datatype.hpp"
-#include "runtime/reduce_op.hpp"
-#include "runtime/world.hpp"
-
-namespace gencoll::core {
-
-/// execute_threaded's contract (inputs/outputs/validation/error policy —
-/// including the first-thrown-exception rethrow and elastic death
-/// swallowing), executed on the event engine. Does not re-dispatch on
-/// options.world.executor. Worker count: GENCOLL_EVENT_WORKERS, else
-/// hardware_concurrency.
-std::vector<std::vector<std::byte>> execute_event(
-    const Schedule& sched, const std::vector<std::vector<std::byte>>& inputs,
-    runtime::DataType type, runtime::ReduceOp op,
-    const ThreadedExecOptions& options = {});
-
-/// execute_threaded_elastic's contract on the event engine: every rank runs
-/// the elastic phase machine in resumable mode; its commit / agreement
-/// rendezvous run under managed blocking. Outputs indexed by ORIGINAL rank,
-/// dead ranks empty; `reports` as in the threaded front end.
-std::vector<std::vector<std::byte>> execute_event_elastic(
-    const CollParams& params, runtime::DataType type, runtime::ReduceOp op,
-    const ElasticOptions& options, const InputProvider& provider,
-    const runtime::WorldOptions& world_options,
-    std::vector<ElasticReport>* reports = nullptr);
-
-}  // namespace gencoll::core

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/event_exec.hpp"
 #include "core/hierarchy.hpp"
 #include "fault/error.hpp"
 #include "runtime/event_pool.hpp"
@@ -252,7 +251,7 @@ bool begin_rank_program(ScheduleRunner& runner, const Schedule& sched,
                         std::span<std::byte> output, runtime::DataType type,
                         runtime::ReduceOp op, obs::TraceSink* sink,
                         const ExecTuning& tuning) {
-  if (runs_intra_shm(sched, comm)) {
+  if (runs_on_shm_tree(sched, comm)) {
     runtime::BlockingGuard guard;
     execute_hierarchical(sched, comm, input, output, type, op, sink, tuning);
     return true;
@@ -380,14 +379,6 @@ std::vector<std::vector<std::byte>> execute_threaded(
   // Engine dispatch: explicit option > GENCOLL_EXECUTOR > thread-per-rank.
   return run_program(runtime::resolve_executor(options.world.executor), sched,
                      inputs, type, op, options);
-}
-
-std::vector<std::vector<std::byte>> execute_event(
-    const Schedule& sched, const std::vector<std::vector<std::byte>>& inputs,
-    runtime::DataType type, runtime::ReduceOp op,
-    const ThreadedExecOptions& options) {
-  return run_program(runtime::ExecutorKind::kEvent, sched, inputs, type, op,
-                     options);
 }
 
 }  // namespace gencoll::core

@@ -17,7 +17,6 @@
 #include "runtime/comm.hpp"
 #include "runtime/datatype.hpp"
 #include "runtime/reduce_op.hpp"
-#include "runtime/shm_group.hpp"
 #include "runtime/world.hpp"
 
 namespace gencoll::core {
@@ -45,9 +44,6 @@ struct ExecTuning {
   std::size_t pipeline_segment = 64 * 1024;
   /// Force the scalar reduction backend (benchmark gate's naive mode).
   bool scalar_reduce = false;
-  /// Spin/yield/sleep thresholds for every shared-segment wait of the
-  /// hierarchical intra-node phases (runtime/shm_group.hpp).
-  runtime::ShmWaitTuning shm_wait;
   /// Fragment size for multi-level shared-memory fan-in (core/hierarchy.hpp
   /// with a non-empty level vector): payloads stream through the tree levels
   /// in fragments of at most this many bytes, overlapping the levels instead
@@ -177,7 +173,7 @@ class ScheduleRunner {
 };
 
 /// Start one rank's run of `sched`. A schedule whose intra phases run over
-/// shared segments (runs_intra_shm, core/hierarchy.hpp) runs whole through
+/// shared segments (runs_on_shm_tree, core/hierarchy.hpp) runs whole through
 /// execute_hierarchical, as a managed-blocking region on the event engine
 /// (its seqlock waits cannot park); returns true. Otherwise checks the
 /// buffers, sets the trace sink and resets `runner` over every step of this

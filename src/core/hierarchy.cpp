@@ -235,7 +235,6 @@ Schedule build_hierarchical_schedule(const HierSpec& rawspec,
   info.group_size = g;
   info.inter_alg = spec.inter_alg;
   info.inter_k = sub.params.k;
-  info.intra_shm = spec.intra_shm;
   info.levels = lv;
   info.intra_end.resize(static_cast<std::size_t>(p));
   info.leader_end.resize(static_cast<std::size_t>(p));
@@ -249,8 +248,8 @@ Schedule build_hierarchical_schedule(const HierSpec& rawspec,
     case CollOp::kBcast:
       // Only the root's group acts: stage the payload at its leader.
       if (root != root_leader) {
-        rk(root).send_input(root_leader, kHierIntraTag, 0, n);
-        rk(root_leader).recv(root, kHierIntraTag, 0, n);
+        rk(root).send_input(root_leader, kHierFaninTag, 0, n);
+        rk(root_leader).recv(root, kHierFaninTag, 0, n);
       } else {
         rk(root).copy_input(0, 0, n);
       }
@@ -263,8 +262,8 @@ Schedule build_hierarchical_schedule(const HierSpec& rawspec,
           rk(leader).copy_input(0, 0, n);
           for (int m = 1; m < g; ++m) {
             const int r = leader + m;
-            rk(r).send_input(leader, kHierIntraTag, 0, n);
-            rk(leader).recv_reduce(r, kHierIntraTag, 0, n);
+            rk(r).send_input(leader, kHierFaninTag, 0, n);
+            rk(leader).recv_reduce(r, kHierFaninTag, 0, n);
           }
         }
       } else {
@@ -300,7 +299,7 @@ Schedule build_hierarchical_schedule(const HierSpec& rawspec,
                   const std::size_t e1 =
                       runtime::seqlock::chunk_end(jx, c, params.count);
                   if (e1 == e0) continue;
-                  const int tag = kHierIntraTag + (i << kHierLevelShift) +
+                  const int tag = kHierFaninTag + (i << kHierLevelShift) +
                                   static_cast<int>(jx);
                   const std::size_t off = e0 * es;
                   const std::size_t len = (e1 - e0) * es;
@@ -326,8 +325,8 @@ Schedule build_hierarchical_schedule(const HierSpec& rawspec,
         rk(leader).copy_input(0, static_cast<std::size_t>(leader) * bb, bb);
         for (int m = 1; m < g; ++m) {
           const int r = leader + m;
-          rk(r).send_input(leader, kHierIntraTag, 0, bb);
-          rk(leader).recv(r, kHierIntraTag,
+          rk(r).send_input(leader, kHierFaninTag, 0, bb);
+          rk(leader).recv(r, kHierFaninTag,
                                  static_cast<std::size_t>(r) * bb, bb);
         }
       }
@@ -469,8 +468,8 @@ void emit_shm_step(obs::TraceSink* sink, const Schedule& sched, int rank,
     // Multi-level compositions encode the tree level in the intra/fan-out
     // tag (kHierLevelShift); surface it so traces attribute each hop.
     if (sched.hier && !sched.hier->levels.empty()) {
-      if (s.tag >= kHierIntraTag && s.tag < kHierFanoutTag) {
-        ev.level = (s.tag - kHierIntraTag) >> kHierLevelShift;
+      if (s.tag >= kHierFaninTag && s.tag < kHierFanoutTag) {
+        ev.level = (s.tag - kHierFaninTag) >> kHierLevelShift;
       } else if (s.tag >= kHierFanoutTag && s.tag < kHierRootHopTag) {
         ev.level = (s.tag - kHierFanoutTag) >> kHierLevelShift;
       }
@@ -557,7 +556,6 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
   const int root_leader = (root / g) * g;
   const auto reduce_fn =
       tuning.scalar_reduce ? runtime::apply_reduce_scalar : runtime::apply_reduce;
-  const runtime::ShmWaitTuning& wt = tuning.shm_wait;
   const auto now = [&] { return sink != nullptr ? obs::wallclock_us() : 0.0; };
   const auto& my_steps = sched.ranks[static_cast<std::size_t>(rank)].steps;
   const std::size_t intra_end = h.intra_end[static_cast<std::size_t>(rank)];
@@ -604,15 +602,13 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
     int rel;
     std::uint64_t gen;
     std::uint64_t exit_done;
-    const runtime::ShmWaitTuning& wt;
     int uncaught = std::uncaught_exceptions();
     ~RetractOnThrow() {
       if (std::uncaught_exceptions() > uncaught) {
-        tree.retract(rel, gen, exit_done, wt);
+        tree.retract(rel, gen, exit_done);
       }
     }
-  } const retract_on_throw{tree, rel, gen, sl::commit_target(dbase, quantum),
-                           wt};
+  } const retract_on_throw{tree, rel, gen, sl::commit_target(dbase, quantum)};
 
   // ---- phase A over the shared tree -------------------------------------
   switch (pr.op) {
@@ -624,7 +620,7 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
         if (rel == 0) {
           std::memcpy(output.data(), input.data(), n);
           for (int m = 1; m < s; ++m) {
-            const auto mb = tree.buffers_of(m, gen, rank, wt);
+            const auto mb = tree.buffers_of(m, gen, rank);
             reduce_fn(op, type, output.first(n),
                       std::span<const std::byte>(mb.src, n), pr.count);
           }
@@ -642,7 +638,7 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
           // covers every deeper contributor) before the inter kernel may
           // read or mutate the output.
           for (const int x : hier_child_gate(lv, strides, 0, -1, s)) {
-            tree.await_done(x, sl::fragment_target(dbase, F - 1), rank, wt);
+            tree.await_done(x, sl::fragment_target(dbase, F - 1), rank);
           }
           break;
         }
@@ -666,7 +662,7 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
           Contrib ct;
           ct.gate = hier_child_gate(lv, strides, x, ml, s);
           ct.prime = ct.gate.empty();
-          ct.buf = tree.buffers_of(x, gen, rank, wt);
+          ct.buf = tree.buffers_of(x, gen, rank);
           contribs.push_back(std::move(ct));
         };
         add_contrib(lg.leader);
@@ -675,7 +671,7 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
         for (std::size_t f = 0; f < F; ++f) {
           for (const Contrib& ct : contribs) {
             for (const int t : ct.gate) {
-              tree.await_done(t, sl::fragment_target(dbase, f), rank, wt);
+              tree.await_done(t, sl::fragment_target(dbase, f), rank);
             }
           }
           const std::size_t f0 = pr.count * f / F;
@@ -704,7 +700,7 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
         // final fragment.
         for (const int m : lg.members) {
           if (m != rel) {
-            tree.await_done(m, sl::fragment_target(dbase, F - 1), rank, wt);
+            tree.await_done(m, sl::fragment_target(dbase, F - 1), rank);
           }
         }
       }
@@ -715,7 +711,7 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
       // which the leader raises only after this copy.
       if (group == root / g && rel == 0) {
         if (root != base) {
-          const auto rb = tree.buffers_of(root - base, gen, rank, wt);
+          const auto rb = tree.buffers_of(root - base, gen, rank);
           std::memcpy(output.data(), rb.src, n);
         } else {
           std::memcpy(output.data(), input.data(), n);
@@ -733,15 +729,15 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
                     input.data(), bb);
         for (int m = 1; m < s; ++m) {
           if (gather) {
-            const auto mb = tree.buffers_of(m, gen, rank, wt);
+            const auto mb = tree.buffers_of(m, gen, rank);
             std::memcpy(output.data() + static_cast<std::size_t>(base + m) * bb,
                         mb.src, bb);
           } else {
-            tree.await_done(m, dbase + 1, rank, wt);
+            tree.await_done(m, dbase + 1, rank);
           }
         }
       } else if (!gather) {
-        const auto lb = tree.buffers_of(0, gen, rank, wt);
+        const auto lb = tree.buffers_of(0, gen, rank);
         std::memcpy(lb.acc + static_cast<std::size_t>(base + rel) * bb,
                     input.data(), bb);
         tree.bump_done(rel, dbase + 1);
@@ -768,9 +764,9 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
       // flat program collapse into one concurrent read.
       if (rel == 0) {
         const std::uint64_t seq = tree.fanout_publish();
-        tree.await_fanout_acks(seq, rank, wt);
+        tree.await_fanout_acks(seq, rank);
       } else {
-        const auto lb = tree.await_fanout(rel, rank, wt);
+        const auto lb = tree.await_fanout(rel, rank);
         std::memcpy(output.data(), lb.acc, n);
         tree.ack_fanout(rel);
       }
@@ -781,9 +777,9 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
       if (root != root_leader && group == root / g) {
         if (rel == 0) {
           const std::uint64_t seq = tree.fanout_publish();
-          tree.await_fanout_acks(seq, rank, wt);
+          tree.await_fanout_acks(seq, rank);
         } else {
-          const auto lb = tree.await_fanout(rel, rank, wt);
+          const auto lb = tree.await_fanout(rel, rank);
           if (rank == root) {
             std::memcpy(output.data(), lb.acc, n);
           }
@@ -791,7 +787,7 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
         }
       } else if (small && rel != 0) {
         // No fan-out to wait on: fence on the leader having folded our input.
-        tree.await_done(0, sl::fragment_target(dbase, 0), rank, wt);
+        tree.await_done(0, sl::fragment_target(dbase, 0), rank);
       }
       break;
     default:
@@ -805,9 +801,8 @@ void execute_tree_hier(const Schedule& sched, runtime::Communicator& comm,
 
 }  // namespace
 
-bool runs_intra_shm(const Schedule& sched, const runtime::Communicator& comm) {
-  return sched.hier && sched.hier->intra_shm && sched.hier->group_size >= 2 &&
-         comm.plain_transport();
+bool runs_on_shm_tree(const Schedule& sched, const runtime::Communicator& comm) {
+  return sched.hier && sched.hier->group_size >= 2 && comm.plain_transport();
 }
 
 void execute_hierarchical(const Schedule& sched, runtime::Communicator& comm,
@@ -818,7 +813,7 @@ void execute_hierarchical(const Schedule& sched, runtime::Communicator& comm,
   // The shm fast path needs the plain transport: under fault injection or
   // reliability the flat composed program runs over the mailbox, so crashes
   // and corruption surface through the existing fault machinery.
-  if (!runs_intra_shm(sched, comm)) {
+  if (!runs_on_shm_tree(sched, comm)) {
     execute_rank_program(sched, comm, input, output, type, op, sink, tuning);
     return;
   }

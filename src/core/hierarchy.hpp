@@ -65,11 +65,11 @@ namespace gencoll::core {
 /// Tag bases for the composed phases: high multiples of the kernels' phase
 /// stride (1 << 20), above every flat kernel's tag space (they use at most
 /// 3 strides) yet below the schedule validator's 1 << 24 tag ceiling, so
-/// spliced leader-kernel tags can never collide with the intra/fan-out hops.
+/// spliced leader-kernel tags can never collide with the fan-in/fan-out hops.
 /// Multi-level compositions add (level << kHierLevelShift) + chunk to the
-/// intra/fan-out bases; level and chunk stay far below 1 << 20, so the
+/// fan-in/fan-out bases; level and chunk stay far below 1 << 20, so the
 /// encoded tags never leave their base's stride.
-inline constexpr int kHierIntraTag = 8 << 20;
+inline constexpr int kHierFaninTag = 8 << 20;
 inline constexpr int kHierFanoutTag = 9 << 20;
 inline constexpr int kHierRootHopTag = 10 << 20;
 inline constexpr int kHierLevelShift = 12;
@@ -96,15 +96,12 @@ inline constexpr std::size_t kHierShmGatherBytes = 1024;
 
 /// How a hierarchical composition is configured: the group size g (modeling
 /// processes-per-node) and the generalized kernel + radix that runs over the
-/// group leaders.
+/// group leaders. It names the composed program only; the transport picks
+/// how the intra phases run (runs_on_shm_tree).
 struct HierSpec {
   int group_size = 1;
   Algorithm inter_alg = Algorithm::kRecursiveMultiplying;
   int inter_k = 2;
-  /// Execute intra phases over shared segments (runtime/shm_group.hpp
-  /// ShmTree) when the transport allows; false forces the mailbox path even
-  /// then.
-  bool intra_shm = true;
   /// Intra-group level vector (see file comment). It selects the composed
   /// program's shape only, not the engine: empty = one-level flat
   /// fan-in/fan-out, which the shared-memory path runs as the tree {g}.
@@ -193,14 +190,15 @@ Schedule build_hierarchical_schedule(const HierSpec& spec,
                                      const CollParams& params);
 
 /// True when execute_hierarchical runs `sched`'s intra phases over shared
-/// segments: a hierarchical schedule with hier->intra_shm, groups of at
-/// least two, on a plain transport. Those phases are seqlock waits between
-/// group members that cannot park.
-[[nodiscard]] bool runs_intra_shm(const Schedule& sched,
-                                  const runtime::Communicator& comm);
+/// segments: a hierarchical schedule with groups of at least two on a plain
+/// transport. This is the only switch between the two routes: a reliable or
+/// fault-injected World runs the composed program over the mailbox. The
+/// shared phases are seqlock waits between group members that cannot park.
+[[nodiscard]] bool runs_on_shm_tree(const Schedule& sched,
+                                    const runtime::Communicator& comm);
 
-/// Execute one rank of a hierarchical schedule. On a plain transport with
-/// hier->intra_shm set, the intra phases run over the group's ShmTree —
+/// Execute one rank of a hierarchical schedule. On a plain transport the
+/// intra phases run over the group's ShmTree —
 /// direct memcpy / apply_reduce from the publishers' buffers, zero mailbox
 /// traffic: an unpartitioned leader fold for small one-level payloads
 /// (kHierShmSmallBytes), otherwise partitioned concurrent reduction with

@@ -57,13 +57,13 @@ struct RankProgram {
 ///                            non-leader ranks),
 ///   [leader_end, end)        intra-group fan-out / final root hop.
 /// The flat program is complete on its own (any executor can run it over the
-/// mailbox); executors that recognise `intra_shm` may replace the intra
-/// phases with shared-segment copies (runtime/shm_group.hpp).
+/// mailbox); on a plain transport the executors replace the intra phases
+/// with shared-segment copies (runtime/shm_group.hpp, core/hierarchy.hpp
+/// runs_on_shm_tree).
 struct HierInfo {
   int group_size = 1;
   Algorithm inter_alg = Algorithm::kRecursiveMultiplying;
   int inter_k = 2;
-  bool intra_shm = true;
   /// Intra-group level vector (core/hierarchy.hpp). Empty = the original
   /// one-level flat fan-in/fan-out. Non-empty (every entry >= 2, product ==
   /// group_size) = multi-level tree: chunked fan-in per level, single

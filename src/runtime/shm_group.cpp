@@ -17,12 +17,15 @@ namespace {
 
 constexpr std::size_t kLine = 64;
 
+/// The one setting of every shared-segment wait.
+constexpr ShmWaitTuning kShmWait{};
+
 }  // namespace
 
 std::uint64_t shm_wait_ge(const World* world, int epoch,
                           const std::atomic<std::uint64_t>& cell,
                           std::uint64_t target, int self_rank,
-                          const char* what, const ShmWaitTuning& wait) {
+                          const char* what) {
   using Clock = std::chrono::steady_clock;
   // Already there (the common intra-node handoff): no clock read, no guard.
   const std::uint64_t now_value = cell.load(std::memory_order_acquire);
@@ -48,14 +51,14 @@ std::uint64_t shm_wait_ge(const World* world, int epoch,
   BlockingGuard guard;
   // Brief spin, then yield: intra-group handoffs are usually immediate.
   std::uint64_t v =
-      spin_until_ge(cell, target, wait, Clock::time_point::max(), throw_if_poisoned);
+      spin_until_ge(cell, target, kShmWait, Clock::time_point::max(), throw_if_poisoned);
   while (v < target) {
     throw_if_poisoned();
     if (Clock::now() >= deadline) {
       throw FaultError(FaultKind::kTimeout, self_rank, -1, -1,
                        std::string("deadline expired waiting for ") + what);
     }
-    std::this_thread::sleep_for(wait.sleep_slice);
+    std::this_thread::sleep_for(kShmWait.sleep_slice);
     v = cell.load(std::memory_order_acquire);
   }
   return v;
@@ -94,9 +97,8 @@ ShmTree::Node& ShmTree::node(int rel) const { return nodes_[rel]; }
 
 std::uint64_t ShmTree::wait_ge(const std::atomic<std::uint64_t>& cell,
                                std::uint64_t target, int self_rank,
-                               const char* what,
-                               const ShmWaitTuning& wait) const {
-  return shm_wait_ge(&world_, epoch_, cell, target, self_rank, what, wait);
+                               const char* what) const {
+  return shm_wait_ge(&world_, epoch_, cell, target, self_rank, what);
 }
 
 std::uint64_t ShmTree::publish_buffers(int rel, std::span<const std::byte> src,
@@ -131,17 +133,15 @@ void ShmTree::check_not_retracted(const Node& owner, std::uint64_t generation,
 }
 
 ShmTree::Buffers ShmTree::buffers_of(int target, std::uint64_t generation,
-                                     int self_rank,
-                                     const ShmWaitTuning& wait) {
+                                     int self_rank) {
   Node& n = node(target);
-  wait_ge(n.pub, generation, self_rank, "tree buffer publication", wait);
+  wait_ge(n.pub, generation, self_rank, "tree buffer publication");
   check_not_retracted(n, generation, self_rank);
   return {n.src, n.src_len, n.acc, n.acc_len};
 }
 
 void ShmTree::retract(int rel, std::uint64_t generation,
-                      std::uint64_t exit_done,
-                      const ShmWaitTuning& wait) noexcept {
+                      std::uint64_t exit_done) noexcept {
   node(rel).left.store(generation, std::memory_order_seq_cst);
   // No BlockingGuard (its compensation may spawn a thread, and this runs in
   // a destructor): the event engine already runs the whole shared-memory
@@ -154,11 +154,11 @@ void ShmTree::retract(int rel, std::uint64_t generation,
     int yields = 0;
     while (n.done.load(std::memory_order_acquire) < exit_done &&
            n.left.load(std::memory_order_acquire) < generation) {
-      if (yields < wait.yield_iters) {
+      if (yields < kShmWait.yield_iters) {
         ++yields;
         std::this_thread::yield();
       } else {
-        std::this_thread::sleep_for(wait.sleep_slice);
+        std::this_thread::sleep_for(kShmWait.sleep_slice);
       }
     }
   }
@@ -172,9 +172,8 @@ void ShmTree::bump_done(int rel, std::uint64_t value) {
   node(rel).done.store(value, std::memory_order_release);
 }
 
-void ShmTree::await_done(int target, std::uint64_t value, int self_rank,
-                         const ShmWaitTuning& wait) {
-  wait_ge(node(target).done, value, self_rank, "tree fragment progress", wait);
+void ShmTree::await_done(int target, std::uint64_t value, int self_rank) {
+  wait_ge(node(target).done, value, self_rank, "tree fragment progress");
 }
 
 std::uint64_t ShmTree::fanout_publish() {
@@ -185,12 +184,11 @@ std::uint64_t ShmTree::fanout_publish() {
   return next;
 }
 
-ShmTree::Buffers ShmTree::await_fanout(int rel, int self_rank,
-                                       const ShmWaitTuning& wait) {
+ShmTree::Buffers ShmTree::await_fanout(int rel, int self_rank) {
   const std::uint64_t target = seqlock::awaited_generation(
       node(rel).fo.load(std::memory_order_relaxed));
   const Node& leader = node(0);
-  wait_ge(leader.fo, target, self_rank, "tree fan-out publication", wait);
+  wait_ge(leader.fo, target, self_rank, "tree fan-out publication");
   check_not_retracted(leader, node(rel).pub.load(std::memory_order_relaxed),
                       self_rank);
   return {leader.src, leader.src_len, leader.acc, leader.acc_len};
@@ -202,10 +200,9 @@ void ShmTree::ack_fanout(int rel) {
   n.fo.store(seqlock::next_generation(gen), std::memory_order_release);
 }
 
-void ShmTree::await_fanout_acks(std::uint64_t seq, int self_rank,
-                                const ShmWaitTuning& wait) {
+void ShmTree::await_fanout_acks(std::uint64_t seq, int self_rank) {
   for (int m = 1; m < size_; ++m) {
-    wait_ge(node(m).fo, seq, self_rank, "tree fan-out ack", wait);
+    wait_ge(node(m).fo, seq, self_rank, "tree fan-out ack");
   }
 }
 

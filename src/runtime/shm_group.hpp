@@ -38,9 +38,9 @@ namespace gencoll::runtime {
 
 class World;
 
-/// Spin/yield/sleep thresholds for every shared-segment wait. Tunable via
-/// ExecTuning::shm_wait (core/executor.hpp); the defaults reproduce the
-/// historical hard-coded behaviour.
+/// Spin/yield/sleep thresholds of a counter wait. The defaults are the one
+/// setting of every shared-segment wait (shm_wait_ge, ShmTree); the mailbox's
+/// poll-before-park spins with its own values (Mailbox::match).
 struct ShmWaitTuning {
   int spin_iters = 64;     ///< busy-spin probes before yielding
   int yield_iters = 1024;  ///< total probes (spin + yield) before sleeping
@@ -81,8 +81,7 @@ std::uint64_t spin_until_ge(const std::atomic<std::uint64_t>& cell,
 /// reads already in progress.
 std::uint64_t shm_wait_ge(const World* world, int epoch,
                           const std::atomic<std::uint64_t>& cell,
-                          std::uint64_t target, int self_rank, const char* what,
-                          const ShmWaitTuning& wait = {});
+                          std::uint64_t target, int self_rank, const char* what);
 
 // Pure generation-counter rules of the seqlock protocol. ShmTree's
 // publication and fan-out paths execute these; the seqlock protocol model in
@@ -210,8 +209,7 @@ class ShmTree {
   /// value our own publish_buffers returned — every rank publishes exactly
   /// once per collective), then return its buffer pointers. Throws
   /// FaultError(kAborted) instead when `target` has retracted them.
-  Buffers buffers_of(int target, std::uint64_t generation, int self_rank,
-                     const ShmWaitTuning& wait = {});
+  Buffers buffers_of(int target, std::uint64_t generation, int self_rank);
 
   /// Error path of rank `rel` in collective `generation`, after its
   /// publication: mark the rank as gone, so a peer that has not yet taken
@@ -221,8 +219,7 @@ class ShmTree {
   /// then may the caller release the published buffers. Those peers finish
   /// or throw on their own poisoned, deadlined waits, so this wait takes no
   /// deadline of its own.
-  void retract(int rel, std::uint64_t generation, std::uint64_t exit_done,
-               const ShmWaitTuning& wait = {}) noexcept;
+  void retract(int rel, std::uint64_t generation, std::uint64_t exit_done) noexcept;
 
   // ---- done plane -------------------------------------------------------
 
@@ -235,8 +232,7 @@ class ShmTree {
   void bump_done(int rel, std::uint64_t value);
 
   /// Block until rank `target`'s done counter reaches `value` (acquire).
-  void await_done(int target, std::uint64_t value, int self_rank,
-                  const ShmWaitTuning& wait = {});
+  void await_done(int target, std::uint64_t value, int self_rank);
 
   // ---- fan-out plane ----------------------------------------------------
 
@@ -249,7 +245,7 @@ class ShmTree {
   /// The leader publishes its buffers before its fan-out, so observing the
   /// fan-out (acquire) already orders its pointers. Throws
   /// FaultError(kAborted) instead when the leader has retracted them.
-  Buffers await_fanout(int rel, int self_rank, const ShmWaitTuning& wait = {});
+  Buffers await_fanout(int rel, int self_rank);
 
   /// Member `rel`: acknowledge the current fan-out publication (consumers
   /// that skip the payload still ack to stay in lockstep).
@@ -257,8 +253,7 @@ class ShmTree {
 
   /// Top leader: block until every other rank acknowledged sequence `seq`;
   /// only then may the leader's accumulator change again.
-  void await_fanout_acks(std::uint64_t seq, int self_rank,
-                         const ShmWaitTuning& wait = {});
+  void await_fanout_acks(std::uint64_t seq, int self_rank);
 
  private:
   struct alignas(64) Node {
@@ -277,8 +272,7 @@ class ShmTree {
   void check_not_retracted(const Node& owner, std::uint64_t generation,
                            int self_rank) const;
   std::uint64_t wait_ge(const std::atomic<std::uint64_t>& cell,
-                        std::uint64_t target, int self_rank, const char* what,
-                        const ShmWaitTuning& wait) const;
+                        std::uint64_t target, int self_rank, const char* what) const;
 
   World& world_;
   int base_rank_;

@@ -40,17 +40,16 @@ std::string Arm::describe() const {
   if (group_size > 1) {
     out += ":g";
     out += std::to_string(group_size);
-    out += tuning::hier_intra_name(intra);
   }
   return out;
 }
 
 Arm arm_of(const tuning::AlgorithmChoice& choice) {
-  return Arm{choice.algorithm, choice.k, choice.group_size, choice.intra};
+  return Arm{choice.algorithm, choice.k, choice.group_size};
 }
 
 tuning::AlgorithmChoice choice_of(const Arm& arm) {
-  return tuning::AlgorithmChoice{arm.algorithm, arm.k, arm.group_size, arm.intra};
+  return tuning::AlgorithmChoice{arm.algorithm, arm.k, arm.group_size};
 }
 
 namespace {
@@ -93,14 +92,12 @@ std::vector<Arm> enumerate_arms(core::CollOp op, int p, std::size_t count,
   params.elem_size = elem_size;
 
   for (core::Algorithm alg : core::algorithms_for(op)) {
-    if (!options.include_baselines && !core::is_generalized(alg)) continue;
     for (int k : pruned_radixes(op, alg, p, options)) {
       params.k = k;
       if (!core::supports_params(alg, params)) continue;
       // Deduplicate by effective radix: binomial and knomial-k2 build the
       // same schedule, so one arm represents both.
-      push_unique(arms, Arm{alg, core::effective_radix(alg, k), 1,
-                            tuning::HierIntra::kShm});
+      push_unique(arms, Arm{alg, core::effective_radix(alg, k), 1});
     }
   }
 
@@ -109,7 +106,6 @@ std::vector<Arm> enumerate_arms(core::CollOp op, int p, std::size_t count,
   for (int g : group_sizes) {
     if (g < 2 || p % g != 0 || p / g < 2) continue;
     for (core::Algorithm alg : core::algorithms_for(op)) {
-      if (!options.include_baselines && !core::is_generalized(alg)) continue;
       for (int k : pruned_radixes(op, alg, p / g, options)) {
         params.k = k;
         core::HierSpec spec;
@@ -117,12 +113,7 @@ std::vector<Arm> enumerate_arms(core::CollOp op, int p, std::size_t count,
         spec.inter_alg = alg;
         spec.inter_k = k;
         if (!core::supports_hierarchical(spec, params)) continue;
-        push_unique(arms, Arm{alg, core::effective_radix(alg, k), g,
-                              tuning::HierIntra::kShm});
-        if (options.include_mailbox_intra) {
-          push_unique(arms, Arm{alg, core::effective_radix(alg, k), g,
-                                tuning::HierIntra::kMailbox});
-        }
+        push_unique(arms, Arm{alg, core::effective_radix(alg, k), g});
       }
     }
   }

@@ -51,19 +51,15 @@ struct ArmKey {
 };
 
 /// One candidate configuration: the tunables the paper's generalized
-/// framework exposes, including the hierarchical composition and its
-/// intra-group transport (shared segments vs mailbox messages).
+/// framework exposes, including the hierarchical composition. The transport
+/// picks its intra-group route (core/hierarchy.hpp runs_on_shm_tree), so that
+/// is not an arm dimension.
 struct Arm {
   core::Algorithm algorithm = core::Algorithm::kBinomial;
   int k = 2;
   int group_size = 1;  ///< 1 = flat
-  tuning::HierIntra intra = tuning::HierIntra::kShm;
 
-  friend bool operator==(const Arm& a, const Arm& b) {
-    return a.algorithm == b.algorithm && a.k == b.k &&
-           a.group_size == b.group_size &&
-           (a.group_size == 1 || a.intra == b.intra);
-  }
+  friend bool operator==(const Arm&, const Arm&) = default;
 
   [[nodiscard]] std::string describe() const;
 };
@@ -80,14 +76,6 @@ struct ArmSpaceOptions {
   /// Hierarchical group sizes to offer (only divisors of p with >= 2 leaders
   /// survive); empty = {2, 4, 8}.
   std::vector<int> group_sizes;
-  /// Offer the mailbox intra-group transport in addition to shared segments.
-  /// Off by default: on the simulator backend both route intra hops over the
-  /// same modeled intra link, so the extra arms are pure exploration cost.
-  /// The threaded/API path, where the transports genuinely differ, turns
-  /// this on.
-  bool include_mailbox_intra = false;
-  /// Include the non-generalized baselines in the pool.
-  bool include_baselines = true;
 };
 
 /// Every arm buildable for (op, p) at this exact payload shape: flat arms

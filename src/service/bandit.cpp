@@ -390,7 +390,6 @@ tuning::SelectionConfig OnlineSelector::export_rules(double min_weight) const {
     rule.algorithm = best->arm.algorithm;
     rule.k = best->arm.k;
     rule.group_size = best->arm.group_size;
-    rule.intra = best->arm.intra;
     config.add_rule(rule);  // (op, class) keys are unique: no duplicates
   }
   return config;

@@ -63,7 +63,6 @@ const Service::Compiled& Service::compiled_for(const ShapeKey& shape,
       spec.group_size = arm.group_size;
       spec.inter_alg = arm.algorithm;
       spec.inter_k = arm.k;
-      spec.intra_shm = arm.intra == tuning::HierIntra::kShm;
       return core::build_hierarchical_schedule(spec, params);
     } catch (const std::exception&) {
       // An arm outside the buildable space (a prior imported for a machine

@@ -135,12 +135,7 @@ class Service {
       if (b.shape < a.shape) return false;
       if (a.arm.algorithm != b.arm.algorithm) return a.arm.algorithm < b.arm.algorithm;
       if (a.arm.k != b.arm.k) return a.arm.k < b.arm.k;
-      if (a.arm.group_size != b.arm.group_size) return a.arm.group_size < b.arm.group_size;
-      // Flat arms order their (meaningless) intra as kShm, matching
-      // Arm::operator==.
-      const auto ai = a.arm.group_size == 1 ? tuning::HierIntra::kShm : a.arm.intra;
-      const auto bi = b.arm.group_size == 1 ? tuning::HierIntra::kShm : b.arm.intra;
-      return ai < bi;
+      return a.arm.group_size < b.arm.group_size;
     }
   };
 

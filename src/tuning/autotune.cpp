@@ -59,7 +59,6 @@ AutotuneReport autotune_op(CollOp op, const netsim::MachineConfig& machine,
     best.latency_us = std::numeric_limits<double>::infinity();
 
     for (Algorithm alg : core::algorithms_for(op)) {
-      if (!options.include_baselines && !core::is_generalized(alg)) continue;
       for (int k : pruned_radixes(op, alg, p, machine, options.radixes)) {
         CollParams params;
         params.op = op;
@@ -95,12 +94,10 @@ AutotuneReport autotune_op(CollOp op, const netsim::MachineConfig& machine,
       // concurrent fan-in) is simulated directly, so the tuner prices the
       // tree structure instead of assuming it helps.
       std::vector<std::vector<int>> shapes{{}};
-      if (!options.flat_intra_only) {
-        for (int a = 2; a * a <= g; ++a) {
-          if (g % a != 0 || g / a < 2) continue;
-          shapes.push_back({a, g / a});
-          if (a != g / a) shapes.push_back({g / a, a});
-        }
+      for (int a = 2; a * a <= g; ++a) {
+        if (g % a != 0 || g / a < 2) continue;
+        shapes.push_back({a, g / a});
+        if (a != g / a) shapes.push_back({g / a, a});
       }
       for (const std::vector<int>& shape : shapes) {
         for (Algorithm alg : core::algorithms_for(op)) {
@@ -142,7 +139,6 @@ AutotuneReport autotune_op(CollOp op, const netsim::MachineConfig& machine,
     rule.algorithm = best.algorithm;
     rule.k = best.k;
     rule.group_size = best.group_size;
-    rule.intra = HierIntra::kShm;
     rule.levels = best.levels;
     // A flat winner that beat `hier <ppn>` is written as `hier 1`, so the
     // API's co-located default cannot override the measured choice.
@@ -152,7 +148,7 @@ AutotuneReport autotune_op(CollOp op, const netsim::MachineConfig& machine,
       if (prev.op == rule.op && prev.algorithm == rule.algorithm &&
           prev.k == rule.k && prev.group_size == rule.group_size &&
           prev.levels == rule.levels && prev.flat_pinned == rule.flat_pinned &&
-          prev.intra == rule.intra && prev.max_bytes == rule.min_bytes) {
+          prev.max_bytes == rule.min_bytes) {
         report.config.mutable_rules().back().max_bytes = rule.max_bytes;
         continue;
       }

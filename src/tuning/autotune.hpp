@@ -22,8 +22,6 @@ struct AutotuneOptions {
   /// set (powers of two plus the machine's port count and ppn) to keep
   /// exhaustive sweeps tractable, mirroring the paper's 1024-node method.
   std::vector<int> radixes;
-  /// Include the non-generalized baselines in the candidate pool.
-  bool include_baselines = true;
   /// Hierarchical group sizes to sweep for the ops core/hierarchy.hpp can
   /// compose (group_size 1 — the flat candidates — is always swept). Empty =
   /// {2, 4, 8} plus the machine's ppn; {1} alone disables the hier sweep.
@@ -31,8 +29,6 @@ struct AutotuneOptions {
   /// both factors >= 2) as multi-level intra-tree candidates, so the tuner
   /// can discover when a NUMA x core shape beats the flat fan-in.
   std::vector<int> group_sizes;
-  /// Disable the multi-level split candidates (sweep only flat intra).
-  bool flat_intra_only = false;
   netsim::SimOptions sim;
 };
 

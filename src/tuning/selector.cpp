@@ -42,8 +42,8 @@ std::optional<AlgorithmChoice> SelectionConfig::lookup(core::CollOp op,
     }
   }
   if (best == nullptr) return std::nullopt;
-  return AlgorithmChoice{best->algorithm, best->k,      best->group_size,
-                         best->intra,     best->levels, best->flat_pinned};
+  return AlgorithmChoice{best->algorithm, best->k, best->group_size, best->levels,
+                         best->flat_pinned};
 }
 
 AlgorithmChoice SelectionConfig::choose(core::CollOp op, int p,
@@ -72,7 +72,7 @@ void SelectionConfig::save(std::ostream& os) const {
       } else {
         os << core::hier_format_levels(rule.levels);
       }
-      os << ' ' << hier_intra_name(rule.intra);
+      os << " shm";
     } else if (rule.flat_pinned) {
       os << " hier 1";
     }
@@ -131,7 +131,7 @@ SelectionConfig SelectionConfig::load(std::istream& is) {
       if (clause != "hier") fail("unknown rule clause '" + clause + "'");
       std::string shape;
       if (!(ls >> shape)) {
-        fail("malformed hier clause (want: hier <g|LxM...> <shm|mailbox>)");
+        fail("malformed hier clause (want: hier <g|LxM...> shm)");
       }
       if (shape == "1") {
         // Pinned flat: there is no intra phase, so no transport word.
@@ -139,7 +139,7 @@ SelectionConfig SelectionConfig::load(std::istream& is) {
       } else {
         std::string intra_name;
         if (!(ls >> intra_name)) {
-          fail("malformed hier clause (want: hier <g|LxM...> <shm|mailbox>)");
+          fail("malformed hier clause (want: hier <g|LxM...> shm)");
         }
         // A bare integer is the original flat composition; an 'x'-joined
         // vector selects the multi-level intra tree. Both go through the
@@ -154,9 +154,14 @@ SelectionConfig SelectionConfig::load(std::istream& is) {
             if (entry < 2) fail("bad hier group shape '" + shape + "'");
           }
         }
-        const auto intra = parse_hier_intra(intra_name);
-        if (!intra) fail("unknown hier intra transport '" + intra_name + "'");
-        rule.intra = *intra;
+        if (intra_name == "mailbox") {
+          fail("hier transport 'mailbox' cannot be configured: the mailbox route is "
+               "chosen automatically on reliable or fault-injected Worlds (write "
+               "'hier " + shape + " shm')");
+        }
+        if (intra_name != "shm") {
+          fail("unknown hier intra transport '" + intra_name + "'");
+        }
       }
       if (std::string extra; ls >> extra) {
         fail("trailing token '" + extra + "' after hier clause");

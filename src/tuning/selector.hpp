@@ -26,11 +26,10 @@ struct SelectionRule {
   std::size_t max_bytes = SIZE_MAX;             ///< exclusive; SIZE_MAX = open
   core::Algorithm algorithm = core::Algorithm::kBinomial;
   int k = 2;
-  /// Hierarchical clause (`hier <g|LxM[xN...]> <shm|mailbox>` in the file
-  /// format): group_size > 1 makes `algorithm` the inter-group kernel over
-  /// ceil(p/g) leaders with the given intra-phase transport. 1 = flat rule.
+  /// Hierarchical clause (`hier <g|LxM[xN...]> shm` in the file format):
+  /// group_size > 1 makes `algorithm` the inter-group kernel over ceil(p/g)
+  /// leaders. 1 = flat rule.
   int group_size = 1;
-  HierIntra intra = HierIntra::kShm;
   /// Multi-level intra tree (core/hierarchy.hpp): set when the hier clause
   /// spells the group size as an 'x'-joined level vector ("2x4"); empty for
   /// a bare integer (the original flat fan-in). group_size always holds the
@@ -76,13 +75,16 @@ class SelectionConfig {
   /// Line-oriented serialization:
   ///   # comments
   ///   machine <name> nodes <n> ppn <n>
-  ///   rule <op> <min_bytes> <max_bytes|inf> <algorithm> <k> [hier <shape> <intra>]
+  ///   rule <op> <min_bytes> <max_bytes|inf> <algorithm> <k> [hier <shape> shm]
   ///   rule <op> <min_bytes> <max_bytes|inf> <algorithm> <k> hier 1
   /// where <shape> is a bare integer group size >= 2 (flat intra fan-in) or
   /// an 'x'-joined level vector like `2x4` (multi-level intra tree, every
-  /// factor >= 2), and <intra> is `shm` or `mailbox`. `hier 1` pins the rule
-  /// flat (no default composition) and takes no <intra>. A malformed or
-  /// truncated hier clause — or any trailing token — fails the load.
+  /// factor >= 2). `shm` is the clause's one transport word: the transport
+  /// picks the intra route (shared segments on a plain World, mailbox
+  /// messages on a reliable or fault-injected one), so `mailbox` is
+  /// rejected. `hier 1` pins the rule flat (no default composition) and
+  /// takes no transport word. A malformed or truncated hier clause — or any
+  /// trailing token — fails the load.
   void save(std::ostream& os) const;
   static SelectionConfig load(std::istream& is);  ///< throws on parse errors
 

@@ -9,20 +9,6 @@ namespace gencoll::tuning {
 using core::Algorithm;
 using core::CollOp;
 
-const char* hier_intra_name(HierIntra intra) {
-  switch (intra) {
-    case HierIntra::kShm: return "shm";
-    case HierIntra::kMailbox: return "mailbox";
-  }
-  return "shm";
-}
-
-std::optional<HierIntra> parse_hier_intra(std::string_view name) {
-  if (name == "shm") return HierIntra::kShm;
-  if (name == "mailbox") return HierIntra::kMailbox;
-  return std::nullopt;
-}
-
 AlgorithmChoice vendor_default(CollOp op, int p, std::size_t nbytes) {
   // Ring's p-1 rounds only pay off once the per-rank block (n/p) is big
   // enough to be bandwidth-bound; vendor ladders scale that switch with the

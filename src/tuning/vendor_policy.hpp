@@ -8,40 +8,27 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "core/coll_params.hpp"
 
 namespace gencoll::tuning {
 
-/// How a hierarchical choice executes its intra-group phases: over shared
-/// segments (runtime/shm_group.hpp) or as plain mailbox messages (useful to
-/// measure the shm win, and under transports that disable the fast path).
-enum class HierIntra {
-  kShm,
-  kMailbox,
-};
-
-const char* hier_intra_name(HierIntra intra);
-std::optional<HierIntra> parse_hier_intra(std::string_view name);
-
 struct AlgorithmChoice {
   core::Algorithm algorithm = core::Algorithm::kBinomial;
   int k = 2;  ///< effective radix (informational for fixed-radix baselines)
   /// Hierarchical composition (core/hierarchy.hpp): group ranks in blocks of
   /// group_size and run `algorithm` over the leaders. 1 = flat (default).
+  /// The intra-group route is not part of the choice: the transport picks it
+  /// (core/hierarchy.hpp runs_on_shm_tree).
   int group_size = 1;
-  HierIntra intra = HierIntra::kShm;
   /// Intra-group level vector (core/hierarchy.hpp HierSpec::levels): empty =
   /// the one-level flat fan-in; non-empty = the multi-level tree, and
   /// group_size must equal its product. Kept last so positional aggregate
   /// initialization of the earlier fields stays valid.
   std::vector<int> levels;
   /// A `hier 1` rule clause: flat, and exempt from the co-located default
-  /// composition (api/gencoll.hpp) and the GENCOLL_GROUP_SIZE /
-  /// GENCOLL_HIER_LEVELS environment knobs.
+  /// composition (api/gencoll.hpp).
   bool flat_pinned = false;
 };
 

@@ -44,7 +44,6 @@ void mixed_round(Collectives& coll, int iter) {
 TEST(ApiOnline, MixedCollectivesStayCorrectUnderOnlineSelection) {
   service::OnlineSelectorConfig config;
   config.seed = 11;
-  config.arms.include_mailbox_intra = true;  // real transports differ here
   service::OnlineSelector selector(config, kRanks);
 
   run_ranks(kRanks, [&selector](Collectives& coll) {

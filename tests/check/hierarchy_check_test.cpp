@@ -128,7 +128,7 @@ TEST(HierarchyCheck, SwappedPartitionChunksAreProvenanceViolation) {
   std::vector<std::size_t> chunk_folds;
   for (std::size_t i = 0; i < leader.size(); ++i) {
     if (leader[i].kind == StepKind::kRecvReduce &&
-        leader[i].tag >= core::kHierIntraTag &&
+        leader[i].tag >= core::kHierFaninTag &&
         leader[i].tag < core::kHierFanoutTag) {
       chunk_folds.push_back(i);
     }
@@ -203,7 +203,7 @@ TEST(HierarchyCheck, TransposedIntraOffsetsAreProvenanceViolation) {
   std::vector<std::size_t> fan_in;
   for (std::size_t i = 0; i < leader.size(); ++i) {
     if (leader[i].kind == StepKind::kRecv &&
-        leader[i].tag >= core::kHierIntraTag &&
+        leader[i].tag >= core::kHierFaninTag &&
         leader[i].tag < core::kHierFanoutTag) {
       fan_in.push_back(i);
     }

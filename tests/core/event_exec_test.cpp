@@ -212,8 +212,8 @@ TEST(EventExec, ResumesInsideAPipelinedStep) {
 }
 
 TEST(EventExec, HierarchicalShmFastPathMatchesReference) {
-  // Plain transport + intra_shm: the event engine routes the whole composed
-  // schedule through the shared-segment fast path under a BlockingGuard.
+  // Plain transport: the event engine routes the whole composed schedule
+  // through the shared-segment fast path under a BlockingGuard.
   CollParams params;
   params.op = CollOp::kAllreduce;
   params.p = 8;
@@ -224,7 +224,6 @@ TEST(EventExec, HierarchicalShmFastPathMatchesReference) {
   spec.group_size = 4;
   spec.inter_alg = Algorithm::kRecursiveMultiplying;
   spec.inter_k = 2;
-  spec.intra_shm = true;
   const Schedule sched = build_hierarchical_schedule(spec, params);
   ASSERT_TRUE(sched.hier.has_value());
 

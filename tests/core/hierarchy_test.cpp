@@ -114,7 +114,7 @@ TEST(Hierarchy, ComposedScheduleStructure) {
     // Phase tags partition: intra/fan-out tags outside, kernel tags inside.
     for (std::size_t i = 0; i < steps.size(); ++i) {
       if (steps[i].kind == StepKind::kCopyInput) continue;
-      const bool hier_tag = steps[i].tag >= kHierIntraTag;
+      const bool hier_tag = steps[i].tag >= kHierFaninTag;
       EXPECT_EQ(hier_tag, i < intra_end || i >= leader_end)
           << "rank " << r << " step " << i << " tag " << steps[i].tag;
     }
@@ -381,13 +381,14 @@ TEST_P(HierarchyShmBoundary, FlatAndOneLevelTreeAgreeOnBothEngines) {
           << sched.name << " count " << c.count << " on " << engine;
       float_out.push_back(execute_threaded(sched, floats, DataType::kFloat,
                                            ReduceOp::kSum, options));
-      // The same program over the mailbox folds in the program's order.
-      Schedule mailbox = sched;
-      mailbox.hier->intra_shm = false;
+      // The same program over the mailbox folds in the program's order. A
+      // reliable World is the route production takes there: its transport
+      // is not plain, so the composed program runs as-is.
+      ThreadedExecOptions reliable = options;
+      reliable.world.reliability.enabled = true;
       EXPECT_TRUE(same_results(float_out.back(),
-                               execute_threaded(mailbox, floats,
-                                                DataType::kFloat,
-                                                ReduceOp::kSum, options)))
+                               execute_threaded(sched, floats, DataType::kFloat,
+                                                ReduceOp::kSum, reliable)))
           << sched.name << " shm and mailbox disagree at count " << c.count
           << " on " << engine;
 
@@ -535,7 +536,7 @@ TEST(Hierarchy, ShmPhaseSpansTileTheirWindow) {
   const int p = 4;
   const CollParams params = params_of(CollOp::kAllreduce, p, 64);
   const Schedule sched = build_hierarchical_schedule(spec_of(4), params);
-  ASSERT_TRUE(sched.hier && sched.hier->intra_shm);
+  ASSERT_TRUE(sched.hier);
   const auto inputs = make_inputs(params, DataType::kInt32, 9);
 
   obs::TraceRecorder rec(p);

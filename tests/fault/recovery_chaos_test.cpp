@@ -295,7 +295,6 @@ TEST(RecoveryHier, LeaderCrashDuringShmIntraPhase) {
   spec.group_size = 4;
   spec.inter_alg = Algorithm::kRecursiveMultiplying;
   spec.inter_k = 2;
-  spec.intra_shm = true;
   options.hier = spec;
 
   constexpr std::uint64_t kSeed = 0xE1A5;
@@ -368,8 +367,7 @@ TEST_P(RecoveryHierExec, LeaderCrashDuringInterPhaseRepairsGroupSize) {
   spec.group_size = 3;
   spec.inter_alg = Algorithm::kRecursiveMultiplying;
   spec.inter_k = 2;
-  spec.intra_shm = true;  // fault plan active -> composed mailbox path runs
-  options.hier = spec;
+  options.hier = spec;  // fault plan active -> composed mailbox path runs
 
   constexpr std::uint64_t kSeed = 0x91E2;
   const InputProvider provider = [](const CollParams& cur, int dense) {

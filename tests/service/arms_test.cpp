@@ -36,7 +36,7 @@ TEST(Arms, EnumerationIsNonEmptyAndDeduplicated) {
   const auto arms =
       enumerate_arms(core::CollOp::kAllreduce, 8, 1024, 4, ArmSpaceOptions{});
   ASSERT_FALSE(arms.empty());
-  // No duplicates under Arm::operator== (flat arms ignore intra).
+  // No duplicates under Arm::operator==.
   for (std::size_t i = 0; i < arms.size(); ++i) {
     for (std::size_t j = i + 1; j < arms.size(); ++j) {
       EXPECT_FALSE(arms[i] == arms[j])
@@ -50,15 +50,6 @@ TEST(Arms, EnumerationIsNonEmptyAndDeduplicated) {
       EXPECT_GE(8 / arm.group_size, 2) << arm.describe();
     }
   }
-}
-
-TEST(Arms, MailboxIntraDoublesHierOptions) {
-  ArmSpaceOptions with;
-  with.include_mailbox_intra = true;
-  const auto base =
-      enumerate_arms(core::CollOp::kAllreduce, 8, 1024, 4, ArmSpaceOptions{});
-  const auto wider = enumerate_arms(core::CollOp::kAllreduce, 8, 1024, 4, with);
-  EXPECT_GT(wider.size(), base.size());
 }
 
 TEST(Arms, ChoiceRoundTrip) {

@@ -46,7 +46,6 @@ TEST(Bandit, PriorSeedsTheFirstExploitChoice) {
   rule.algorithm = prior.algorithm;
   rule.k = prior.k;
   rule.group_size = prior.group_size;
-  rule.intra = prior.intra;
   config.priors.add_rule(rule);
 
   OnlineSelector sel(config, kRanks);

@@ -1,13 +1,15 @@
-// The `hier <g> <shm|mailbox>` and `hier 1` rule clauses: save/load
-// round-trips, lookup surfacing group_size + intra transport, and strict
-// rejection of every malformed-clause shape (a truncated or misspelled
-// clause silently parsed as flat would make a tuned config lie about what it
-// runs).
+// The `hier <g|LxM...> shm` and `hier 1` rule clauses: save/load
+// round-trips, lookup surfacing group_size, and strict rejection of every
+// malformed-clause shape (a truncated or misspelled clause silently parsed
+// as flat would make a tuned config lie about what it runs), including the
+// `mailbox` transport word, whose route the transport picks on its own.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "tuning/selector.hpp"
 
@@ -24,24 +26,22 @@ TEST(HierRule, SaveLoadRoundTripsHierAndFlatRules) {
   config.ppn = 8;
   config.add_rule({CollOp::kAllreduce, 0, 65536, Algorithm::kKnomial, 4});
   config.add_rule({CollOp::kAllreduce, 65536, SIZE_MAX,
-                   Algorithm::kRecursiveMultiplying, 2, 8, HierIntra::kShm});
-  config.add_rule({CollOp::kBcast, 0, SIZE_MAX, Algorithm::kKring, 4, 4,
-                   HierIntra::kMailbox});
+                   Algorithm::kRecursiveMultiplying, 2, 8});
+  config.add_rule({CollOp::kBcast, 0, SIZE_MAX, Algorithm::kKring, 4, 4});
 
   std::stringstream ss;
   config.save(ss);
   // The hier clause appears only on hierarchical rules.
   const std::string text = ss.str();
   EXPECT_NE(text.find("hier 8 shm"), std::string::npos) << text;
-  EXPECT_NE(text.find("hier 4 mailbox"), std::string::npos) << text;
+  EXPECT_NE(text.find("hier 4 shm"), std::string::npos) << text;
+  EXPECT_EQ(text.find("hier 1"), std::string::npos) << text;
 
   const SelectionConfig loaded = SelectionConfig::load(ss);
   ASSERT_EQ(loaded.rules().size(), 3u);
   EXPECT_EQ(loaded.rules()[0].group_size, 1);
   EXPECT_EQ(loaded.rules()[1].group_size, 8);
-  EXPECT_EQ(loaded.rules()[1].intra, HierIntra::kShm);
   EXPECT_EQ(loaded.rules()[2].group_size, 4);
-  EXPECT_EQ(loaded.rules()[2].intra, HierIntra::kMailbox);
   EXPECT_EQ(loaded.rules()[2].algorithm, Algorithm::kKring);
 
   // Round-tripping again is byte-stable.
@@ -50,16 +50,15 @@ TEST(HierRule, SaveLoadRoundTripsHierAndFlatRules) {
   EXPECT_EQ(again.str(), text);
 }
 
-TEST(HierRule, LookupCarriesGroupSizeAndIntra) {
+TEST(HierRule, LookupCarriesGroupSize) {
   SelectionConfig config;
   config.add_rule({CollOp::kAllreduce, 1024, SIZE_MAX,
-                   Algorithm::kRecursiveMultiplying, 2, 8, HierIntra::kShm});
+                   Algorithm::kRecursiveMultiplying, 2, 8});
   const auto hit = config.lookup(CollOp::kAllreduce, 4096);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->algorithm, Algorithm::kRecursiveMultiplying);
   EXPECT_EQ(hit->k, 2);
   EXPECT_EQ(hit->group_size, 8);
-  EXPECT_EQ(hit->intra, HierIntra::kShm);
   // Below the range: no rule; vendor fallback is always flat.
   EXPECT_FALSE(config.lookup(CollOp::kAllreduce, 512).has_value());
   EXPECT_EQ(config.choose(CollOp::kAllreduce, 64, 512).group_size, 1);
@@ -72,10 +71,8 @@ TEST(HierRule, LevelVectorShapeRoundTrips) {
   // layer builds the tree, not the flat fan-in.
   SelectionConfig config;
   config.add_rule({CollOp::kAllreduce, 65536, SIZE_MAX,
-                   Algorithm::kRecursiveMultiplying, 2, 8, HierIntra::kShm,
-                   {2, 4}});
-  config.add_rule({CollOp::kBcast, 0, SIZE_MAX, Algorithm::kKnomial, 2, 8,
-                   HierIntra::kShm});
+                   Algorithm::kRecursiveMultiplying, 2, 8, {2, 4}});
+  config.add_rule({CollOp::kBcast, 0, SIZE_MAX, Algorithm::kKnomial, 2, 8});
 
   std::stringstream ss;
   config.save(ss);
@@ -102,14 +99,6 @@ TEST(HierRule, LevelVectorShapeRoundTrips) {
   EXPECT_EQ(hit->group_size, 8);
 }
 
-TEST(HierRule, IntraTransportNamesRoundTrip) {
-  EXPECT_STREQ(hier_intra_name(HierIntra::kShm), "shm");
-  EXPECT_STREQ(hier_intra_name(HierIntra::kMailbox), "mailbox");
-  EXPECT_EQ(parse_hier_intra("shm"), HierIntra::kShm);
-  EXPECT_EQ(parse_hier_intra("mailbox"), HierIntra::kMailbox);
-  EXPECT_FALSE(parse_hier_intra("sideband").has_value());
-}
-
 // Each malformed clause must fail the load with the offending line number,
 // never be swallowed as a flat rule.
 void expect_rejected(const std::string& rule_line, const std::string& why) {
@@ -132,6 +121,7 @@ TEST(HierRule, MalformedClausesAreRejected) {
   expect_rejected(flat + " hier 0 shm", "g zero");
   expect_rejected(flat + " hier 0", "g zero, no transport");
   expect_rejected(flat + " hier 8 rdma", "unknown intra transport");
+  expect_rejected(flat + " hier 8 mailbox", "mailbox route is not configurable");
   expect_rejected(flat + " tier 8 shm", "unknown clause word");
   expect_rejected(flat + " hier 8 shm extra", "trailing token");
   // And the clause does not rescue an otherwise-broken rule.
@@ -197,11 +187,71 @@ TEST(HierRule, FlatPinRoundTrips) {
 
 TEST(HierRule, WellFormedClauseStillLoadsAfterRejections) {
   std::stringstream ss;
-  ss << "rule allgather 0 inf kring 4 hier 2 mailbox\n";
+  ss << "rule allgather 0 inf kring 4 hier 2 shm\n";
   const SelectionConfig config = SelectionConfig::load(ss);
   ASSERT_EQ(config.rules().size(), 1u);
   EXPECT_EQ(config.rules()[0].group_size, 2);
-  EXPECT_EQ(config.rules()[0].intra, HierIntra::kMailbox);
+  EXPECT_TRUE(config.rules()[0].levels.empty());
+}
+
+TEST(HierRule, MailboxTransportFailsWithTheAutomaticRoute) {
+  // A `mailbox` transport word must fail loudly, naming its line and where
+  // the mailbox route comes from, instead of quietly running something else.
+  std::stringstream ss;
+  ss << "# gencoll selection config v1\n"
+     << "rule allreduce 0 inf knomial 2 hier 2 shm\n"
+     << "rule bcast 0 inf knomial 2 hier 2 mailbox\n";
+  try {
+    SelectionConfig::load(ss);
+    FAIL() << "a mailbox hier clause loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("selection config line 3:"), std::string::npos) << what;
+    EXPECT_NE(what.find("reliable or fault-injected Worlds"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("hier 2 shm"), std::string::npos) << what;
+  }
+}
+
+TEST(HierRule, BenchmarkWorkloadConfigsLoadAndRoundTrip) {
+  // The rule lines of the benchmark's hier_intra configs
+  // (gencoll_bench/workloads/hier4.gencoll.conf and hier2x2.gencoll.conf),
+  // inlined: they load to single-group compositions and save back byte for
+  // byte.
+  const std::string hier4 =
+      "# gencoll selection config v1\n"
+      "machine polaris nodes 1 ppn 4\n"
+      "rule bcast 0 inf knomial 2 hier 4 shm\n"
+      "rule reduce 0 inf knomial 2 hier 4 shm\n"
+      "rule allreduce 0 inf knomial 2 hier 4 shm\n";
+  const std::string hier2x2 =
+      "# gencoll selection config v1\n"
+      "machine polaris nodes 1 ppn 4\n"
+      "rule bcast 0 inf knomial 2 hier 2x2 shm\n"
+      "rule reduce 0 inf knomial 2 hier 2x2 shm\n"
+      "rule allreduce 0 inf knomial 2 hier 2x2 shm\n";
+  const CollOp ops[] = {CollOp::kBcast, CollOp::kReduce, CollOp::kAllreduce};
+  for (const auto& [text, levels] : {std::pair{hier4, std::vector<int>{}},
+                                     std::pair{hier2x2, std::vector<int>{2, 2}}}) {
+    std::stringstream in(text);
+    const SelectionConfig config = SelectionConfig::load(in);
+    EXPECT_EQ(config.ppn, 4);
+    ASSERT_EQ(config.rules().size(), 3u) << text;
+    for (std::size_t i = 0; i < 3; ++i) {
+      const SelectionRule& rule = config.rules()[i];
+      EXPECT_EQ(rule.op, ops[i]);
+      EXPECT_EQ(rule.min_bytes, 0u);
+      EXPECT_EQ(rule.max_bytes, SIZE_MAX);
+      EXPECT_EQ(rule.algorithm, Algorithm::kKnomial);
+      EXPECT_EQ(rule.k, 2);
+      EXPECT_EQ(rule.group_size, 4);
+      EXPECT_EQ(rule.levels, levels);
+      EXPECT_FALSE(rule.flat_pinned);
+    }
+    std::stringstream out;
+    config.save(out);
+    EXPECT_EQ(out.str(), text);
+  }
 }
 
 }  // namespace

@@ -32,9 +32,14 @@ Rules (each can be waived per line with `// lint-waive(<rule>)`):
             (src/runtime/world.*) — every shared-memory intra-node phase runs
             through execute_hierarchical on runtime::ShmTree, and a second
             caller would be a second intra-node executor.
+  env-table every `GENCOLL_*` string literal passed to a util::env_* reader
+            in src/ must have a row in README.md's environment table, and
+            every row there must be read by such a call — the table is the
+            inventory of knobs, so a knob cannot appear or vanish unseen.
+            Waivable on the reading line only.
 
 Usage:
-  tools/lint_gencoll.py [--root DIR]   # lint src/ and tools/ under DIR
+  tools/lint_gencoll.py [--root DIR]   # lint src/, tools/ and README.md under DIR
   tools/lint_gencoll.py --selftest     # prove the rules on synthetic cases
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
@@ -73,6 +78,14 @@ SHM_ENGINE_HOMES = ("src/core/hierarchy.cpp", "src/runtime/world.hpp",
 # The one blessed home for environment reads.
 ENV_HOME = ("src/util/env.hpp", "src/util/env.cpp")
 
+# The document whose environment table lists every GENCOLL_* knob, one row
+# per variable: `| `GENCOLL_NAME` | values | default | effect |`.
+ENV_TABLE_DOC = "README.md"
+ENV_ROW_RE = re.compile(r"^\|\s*`(GENCOLL_[A-Z0-9_]+)`\s*\|")
+# A util::env_* read of a literal knob name; the call may wrap after `(`.
+ENV_READ_RE = re.compile(
+    r'\b(?:util::)?env_(?:string|int|flag)\s*\(\s*"(GENCOLL_[A-Z0-9_]+)"')
+
 
 class Finding(NamedTuple):
     path: str
@@ -84,10 +97,11 @@ class Finding(NamedTuple):
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def strip_code(line: str) -> str:
-    """Drop string/char literals and // comments so tokens inside them never
-    match. (Block comments are rare in this codebase and the rules below are
-    word-anchored, so line-local stripping is enough in practice.)"""
+def strip_code(line: str, keep_strings: bool = False) -> str:
+    """Drop // comments and, unless keep_strings, string/char literals so
+    tokens inside them never match. (Block comments are rare in this codebase
+    and the rules below are word-anchored, so line-local stripping is enough
+    in practice.)"""
     out = []
     i = 0
     n = len(line)
@@ -97,10 +111,13 @@ def strip_code(line: str) -> str:
             break
         if c in "\"'":
             quote = c
+            start = i
             i += 1
             while i < n and line[i] != quote:
                 i += 2 if line[i] == "\\" else 1
             i += 1
+            if keep_strings:
+                out.append(line[start:i])
             continue
         out.append(c)
         i += 1
@@ -199,8 +216,40 @@ def lint_tag_bases(files: dict[str, list[str]]) -> Iterable[Finding]:
                           f"({spots}): two protocols would share a mailbox channel")
 
 
+def lint_env_table(files: dict[str, list[str]]) -> Iterable[Finding]:
+    """Match util::env_* reads of literal GENCOLL_* names in src/ against the
+    rows of the environment table, in both directions."""
+    doc = files.get(ENV_TABLE_DOC)
+    if doc is None:
+        return
+    rows: dict[str, int] = {}
+    for lineno, raw in enumerate(doc, start=1):
+        m = ENV_ROW_RE.match(raw)
+        if m:
+            rows.setdefault(m.group(1), lineno)
+    read: set[str] = set()
+    for rel, lines in files.items():
+        if not rel.startswith("src/"):
+            continue
+        text = "\n".join(strip_code(raw, keep_strings=True) for raw in lines)
+        for m in ENV_READ_RE.finditer(text):
+            name = m.group(1)
+            read.add(name)
+            lineno = text.count("\n", 0, m.start()) + 1
+            if name not in rows and not waived(lines[lineno - 1], "env-table"):
+                yield Finding(rel, lineno, "env-table",
+                              f"{name} is read here but has no row in "
+                              f"{ENV_TABLE_DOC}'s environment table")
+    for name, lineno in rows.items():
+        if name not in read:
+            yield Finding(ENV_TABLE_DOC, lineno, "env-table",
+                          f"{name} has an environment-table row but no "
+                          "util::env_* call in src/ reads it")
+
+
 def lint_files(files: dict[str, list[str]]) -> list[Finding]:
-    findings: list[Finding] = []
+    findings: list[Finding] = list(lint_env_table(files))
+    files = {rel: lines for rel, lines in files.items() if rel != ENV_TABLE_DOC}
     for rel, lines in files.items():
         for lineno, raw in enumerate(lines, start=1):
             code = strip_code(raw)
@@ -224,6 +273,9 @@ def load_tree(root: pathlib.Path) -> dict[str, list[str]]:
                 continue
             rel = path.relative_to(root).as_posix()
             files[rel] = path.read_text(encoding="utf-8").splitlines()
+    doc = root / ENV_TABLE_DOC
+    if doc.is_file():
+        files[ENV_TABLE_DOC] = doc.read_text(encoding="utf-8").splitlines()
     return files
 
 
@@ -322,6 +374,41 @@ def selftest() -> int:
                             "// lint-waive(tag-base)",
           "src/core/b.hpp": "inline constexpr int kBarTag = 8 << 20;"},
          ["tag-base"]),
+        # env-table fires on a read without a row and on a row without a
+        # read, follows a call that wraps after `(`, and waives on the read.
+        ("env-table matched ok",
+         {"README.md": "| `GENCOLL_FOO` | integer | `1` | Foo. |",
+          "src/runtime/a.cpp": 'auto v = util::env_int("GENCOLL_FOO", 1, 1, 8);'},
+         []),
+        ("env-table wrapped read ok",
+         {"README.md": "| `GENCOLL_FOO` | integer | `1` | Foo. |",
+          "src/runtime/a.cpp": "auto v = util::env_int(\n"
+                               '    "GENCOLL_FOO", 1, 1, 8);'},
+         []),
+        ("env-table read without row fires",
+         {"README.md": "| `GENCOLL_FOO` | integer | `1` | Foo. |",
+          "src/runtime/a.cpp": 'auto v = util::env_int("GENCOLL_FOO", 1, 1, 8);\n'
+                               'if (util::env_flag("GENCOLL_BAR")) {}'},
+         ["env-table"]),
+        ("env-table row without read fires",
+         {"README.md": "| `GENCOLL_FOO` | integer | `1` | Foo. |\n"
+                       "| `GENCOLL_GONE` | integer | unset | Removed knob. |",
+          "src/runtime/a.cpp": 'auto v = util::env_int("GENCOLL_FOO", 1, 1, 8);'},
+         ["env-table"]),
+        ("env-table read in comment does not count",
+         {"README.md": "| `GENCOLL_FOO` | integer | `1` | Foo. |",
+          "src/runtime/a.cpp": '// util::env_int("GENCOLL_FOO", 1, 1, 8) is gone'},
+         ["env-table"]),
+        ("env-table read outside src ignored",
+         {"README.md": "",
+          "tools/t.cpp": 'auto v = util::env_int("GENCOLL_TOOL", 1, 1, 8);'},
+         []),
+        ("env-table read waived",
+         {"README.md": "",
+          "src/runtime/a.cpp":
+          'auto v = util::env_int("GENCOLL_FOO", 1, 1, 8);  '
+          "// lint-waive(env-table)"},
+         []),
     ]
 
     failures = 0
@@ -339,7 +426,8 @@ def selftest() -> int:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=".",
-                        help="repository root (lints <root>/src and <root>/tools)")
+                        help="repository root (lints <root>/src, <root>/tools "
+                             "and <root>/README.md)")
     parser.add_argument("--selftest", action="store_true",
                         help="run the rule selftest instead of linting")
     args = parser.parse_args(argv)
